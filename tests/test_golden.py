@@ -1,0 +1,203 @@
+"""Golden parity: outcomes and report bytes must not drift between commits.
+
+`tests/data/golden.json` holds, for a fixed corpus, what `solve`,
+`run_strategy` and the command line produced when it was recorded. The
+corpus is every connected graph on at most five vertices, a few seeded
+random graphs and configs chosen so that `solve` ends in every
+dispatcher stage, each forced stage on five named graphs, and the stdout
+bytes of the subcommands on the bundled fixture.
+
+A change that alters an outcome on purpose re-records the file with
+
+    PYTHONPATH=src python -m tests.test_golden --record
+
+and lists every changed entry in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import random
+import sys
+from pathlib import Path
+
+from matchcut import (
+    Graph,
+    SolveConfig,
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    load_edge_file,
+    run_strategy,
+    solve,
+)
+from matchcut.cli import main
+
+from .helpers import all_connected_graphs, random_connected_graph
+
+ROOT = Path(__file__).resolve().parents[1]
+DATA = Path(__file__).resolve().parent / "data" / "golden.json"
+FIG1 = "fixtures/fig1.edges"
+
+STAGES = ("degree1", "smallcut", "radius2", "p6free", "sp3p6", "domination", "oracle")
+
+# Strategies `solve` must end in somewhere in the corpus.
+REQUIRED = ("degree1", "smallcut", "radius2", "sp3p6(s=1)", "bounded-domination", "oracle", "dispatch")
+
+# (seed, SolveConfig keyword arguments); the comment names where solve ends.
+SEEDED = (
+    (2, {}),  # degree1
+    (72, {}),  # smallcut
+    (0, {}),  # radius2, no
+    (8, {}),  # radius2, yes
+    (637, {}),  # sp3p6(s=1), no
+    (1070, {}),  # sp3p6(s=1), yes
+    (963, {}),  # bounded-domination, yes
+    (4216, {}),  # bounded-domination, no
+    (963, {"domination_bound": 1}),  # oracle, yes
+    (4216, {"domination_bound": 1}),  # oracle, no
+    (963, {"domination_bound": 1, "oracle_bound": 10}),  # dispatch
+)
+
+
+def seeded_graph(seed: int) -> Graph:
+    rng = random.Random(seed)
+    n = rng.randint(6, 14)
+    p = rng.choice([0.2, 0.25, 0.3, 0.4, 0.5])
+    return random_connected_graph(n, rng, p)
+
+
+def named_graphs() -> dict[str, Graph]:
+    fig1, _ = load_edge_file(str(ROOT / FIG1))
+    return {
+        "fig1": fig1,
+        "C6": cycle_graph(6),
+        "C7": cycle_graph(7),
+        "K4": complete_graph(4),
+        "K3,3": complete_bipartite(3, 3),
+    }
+
+
+def cli_commands() -> list[list[str]]:
+    commands = [
+        ["solve", FIG1],
+        ["oracle", FIG1],
+        ["oracle", FIG1, "--bound", "10"],
+        ["analyze", FIG1],
+        ["verify", FIG1, "--cut", "3-7"],
+        ["verify", FIG1, "--cut", "1-2"],
+    ]
+    commands += [["solve", FIG1, "--strategy", name] for name in STAGES]
+    commands.append(["solve", FIG1, "--strategy", "oracle", "--oracle-bound", "10"])
+    return commands
+
+
+def _edge_text(g: Graph) -> str:
+    return " ".join(f"{u}-{v}" for u, v in g.edges)
+
+
+def _graph_from(n: int, text: str) -> Graph:
+    return Graph(n, [tuple(map(int, pair.split("-"))) for pair in text.split()])
+
+
+def _outcome(call) -> list:
+    """[answer, strategy, cut edges, blue set, reason, trace], or
+    ["error", class name, message] when the call raises."""
+    try:
+        out = call()
+    except Exception as exc:
+        return ["error", type(exc).__name__, str(exc)]
+    cut = sorted(list(e) for e in out.cut.edges) if out.cut is not None else None
+    blue = sorted(out.colouring.blue) if out.colouring is not None else None
+    return [out.answer, out.strategy, cut, blue, out.reason, dict(sorted(out.trace.items()))]
+
+
+def _run_cli(argv: list[str]) -> list:
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    return [code, out.getvalue(), err.getvalue()]
+
+
+def record() -> dict:
+    small = [
+        [g.n, _edge_text(g), _outcome(lambda g=g: solve(g))]
+        for n in range(1, 6)
+        for g in all_connected_graphs(n)
+    ]
+    seeded = []
+    for seed, kwargs in SEEDED:
+        g = seeded_graph(seed)
+        seeded.append([seed, kwargs, g.n, _edge_text(g), _outcome(lambda: solve(g, SolveConfig(**kwargs)))])
+    forced = [
+        [name, stage, _outcome(lambda: run_strategy(g, stage))]
+        for name, g in named_graphs().items()
+        for stage in STAGES
+    ]
+    cli = [[argv, *_run_cli(argv)] for argv in cli_commands()]
+    return {"small": small, "seeded": seeded, "run_strategy": forced, "cli": cli}
+
+
+def _dump(data: dict) -> str:
+    """One entry per line, so a re-recording diffs entry by entry."""
+    sections = []
+    for key, rows in data.items():
+        body = ",\n".join(json.dumps(row, sort_keys=True, separators=(",", ":")) for row in rows)
+        sections.append(f'"{key}": [\n{body}\n]')
+    return "{\n" + ",\n".join(sections) + "\n}\n"
+
+
+def _golden() -> dict:
+    return json.loads(DATA.read_text(encoding="utf-8"))
+
+
+def test_small_graphs_match_the_recording():
+    rows = _golden()["small"]
+    graphs = [g for n in range(1, 6) for g in all_connected_graphs(n)]
+    assert [(n, text) for n, text, _ in rows] == [(g.n, _edge_text(g)) for g in graphs]
+    for n, text, want in rows:
+        g = _graph_from(n, text)
+        assert _outcome(lambda: solve(g)) == want, (n, text)
+
+
+def test_seeded_graphs_match_the_recording():
+    for seed, kwargs, n, text, want in _golden()["seeded"]:
+        assert _edge_text(seeded_graph(seed)) == text
+        g = _graph_from(n, text)
+        assert _outcome(lambda: solve(g, SolveConfig(**kwargs))) == want, (seed, kwargs)
+
+
+def test_every_dispatcher_ending_is_covered():
+    golden = _golden()
+    ends = {row[2][1] for row in golden["small"]} | {row[4][1] for row in golden["seeded"]}
+    assert set(REQUIRED) <= ends
+
+
+def test_forced_stages_match_the_recording():
+    graphs = named_graphs()
+    rows = _golden()["run_strategy"]
+    assert [(name, stage) for name, stage, _ in rows] == [(n, s) for n in graphs for s in STAGES]
+    for name, stage, want in rows:
+        assert _outcome(lambda: run_strategy(graphs[name], stage)) == want, (name, stage)
+
+
+def test_cli_bytes_match_the_recording():
+    rows = _golden()["cli"]
+    assert [argv for argv, *_ in rows] == cli_commands()
+    for argv, *want in rows:
+        assert _run_cli(argv) == want, argv
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python -m tests.test_golden --record")
+    DATA.parent.mkdir(exist_ok=True)
+    DATA.write_text(_dump(record()), encoding="utf-8")
