@@ -18,11 +18,8 @@ from .graphs import (
     Graph,
     GraphFormatError,
     NotConnectedError,
-    contains_induced,
-    distance_profile,
     format_edge_text,
     girth,
-    is_connected,
     load_edge_file,
     path_graph,
     pattern_from_name,
@@ -31,7 +28,9 @@ from .graphs import (
 from .oracle import OracleBoundError
 from .redblue import Colouring, colouring_from_cut, is_matching_cut
 from .strategies import (
+    STAGES,
     BranchBudgetError,
+    GraphFacts,
     SolveConfig,
     SolveOutcome,
     find_dominating_structure_p6free,
@@ -61,15 +60,12 @@ def _load(path: str) -> tuple[Graph, tuple[int, ...]]:
         raise CliError(f"{path}: {exc}") from exc
 
 
-def _input_block(path: str | None, g: Graph) -> dict:
-    block: dict = {"path": path, "n": g.n, "m": g.m}
-    if g.n and is_connected(g):
-        profile = distance_profile(g)
-        block["radius"] = profile.radius
-        block["diameter"] = profile.diameter
-    else:
-        block["radius"] = None
-        block["diameter"] = None
+def _input_block(path: str | None, facts: GraphFacts) -> dict:
+    g = facts.graph
+    block: dict = {"path": path, "n": g.n, "m": g.m, "radius": None, "diameter": None}
+    if g.n and facts.connected:
+        block["radius"] = facts.profile.radius
+        block["diameter"] = facts.profile.diameter
     return block
 
 
@@ -86,11 +82,11 @@ def _certificate(g: Graph, colouring: Colouring, labels) -> dict:
     }
 
 
-def _outcome_report(command, path, g, labels, outcome: SolveOutcome) -> dict:
+def _outcome_report(command, path, facts, labels, outcome: SolveOutcome) -> dict:
     report = {
         "schema": 1,
         "command": command,
-        "input": _input_block(path, g),
+        "input": _input_block(path, facts),
         "outcome": outcome.answer,
         "strategy": outcome.strategy,
         "trace": outcome.trace,
@@ -98,7 +94,7 @@ def _outcome_report(command, path, g, labels, outcome: SolveOutcome) -> dict:
         "timing_ms": None,
     }
     if outcome.answer == "yes":
-        report["certificate"] = _certificate(g, outcome.colouring, labels)
+        report["certificate"] = _certificate(facts.graph, outcome.colouring, labels)
     elif outcome.reason:
         report["reason"] = outcome.reason
     return report
@@ -120,7 +116,11 @@ _EXIT = {"yes": 0, "no": 0, "inapplicable": 2}
 
 
 def _cmd_solve(args) -> int:
+    """`solve`, and `oracle`, which is `solve --strategy oracle`."""
+    if args.domination_bound < 1:
+        raise CliError("--domination-bound must be at least 1")
     g, labels = _load(args.path)
+    facts = GraphFacts(g)
     config = SolveConfig(
         oracle_bound=args.oracle_bound,
         domination_bound=args.domination_bound,
@@ -128,22 +128,10 @@ def _cmd_solve(args) -> int:
     )
     started = time.perf_counter()
     if args.strategy == "auto":
-        outcome = solve(g, config)
+        outcome = solve(facts, config)
     else:
-        outcome = run_strategy(g, args.strategy, config)
-    report = _outcome_report("solve", args.path, g, labels, outcome)
-    if args.timing:
-        report["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
-    _emit(report, args)
-    return _EXIT[outcome.answer]
-
-
-def _cmd_oracle(args) -> int:
-    g, labels = _load(args.path)
-    started = time.perf_counter()
-    config = SolveConfig(oracle_bound=args.bound)
-    outcome = run_strategy(g, "oracle", config)
-    report = _outcome_report("oracle", args.path, g, labels, outcome)
+        outcome = run_strategy(facts, args.strategy, config)
+    report = _outcome_report(args.command, args.path, facts, labels, outcome)
     if args.timing:
         report["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
     _emit(report, args)
@@ -152,26 +140,27 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_analyze(args) -> int:
     g, labels = _load(args.path)
-    connected = g.n > 0 and is_connected(g)
+    facts = GraphFacts(g)
+    connected = g.n > 0 and facts.connected
     analysis: dict = {
         "connected": connected,
         "girth": girth(g),
         "min_degree": min((g.degree(v) for v in range(g.n)), default=0),
         "max_degree": max((g.degree(v) for v in range(g.n)), default=0),
-        "p6_free": not contains_induced(g, path_graph(6)),
-        "claw_free": not contains_induced(g, star_graph(3)),
+        "p6_free": facts.witness(path_graph(6)) is None,
+        "claw_free": facts.witness(star_graph(3)) is None,
         "radius": None,
         "diameter": None,
         "center": None,
         "dominating_structure": None,
     }
     if connected:
-        profile = distance_profile(g)
+        profile = facts.profile
         analysis["radius"] = profile.radius
         analysis["diameter"] = profile.diameter
         analysis["center"] = sorted(labels[v] for v in profile.center)
         if analysis["p6_free"]:
-            structure = find_dominating_structure_p6free(g)
+            structure = find_dominating_structure_p6free(facts)
             if structure.kind == "cycle6":
                 analysis["dominating_structure"] = {
                     "kind": "cycle6",
@@ -186,7 +175,7 @@ def _cmd_analyze(args) -> int:
     report = {
         "schema": 1,
         "command": "analyze",
-        "input": _input_block(args.path, g),
+        "input": _input_block(args.path, facts),
         "analysis": analysis,
         "timing_ms": None,
     }
@@ -228,7 +217,7 @@ def _cmd_verify(args) -> int:
     report = {
         "schema": 1,
         "command": "verify",
-        "input": _input_block(args.path, g),
+        "input": _input_block(args.path, GraphFacts(g)),
         "cut": sorted(sorted(pair) for pair in pairs),
         "outcome": "valid" if valid else "invalid",
         "certificate": None,
@@ -246,8 +235,11 @@ def _graph_payload(g: Graph, path) -> dict:
 
 def _write_out(g: Graph, args) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(format_edge_text(g))
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(format_edge_text(g))
+        except OSError as exc:
+            raise CliError(f"cannot write {args.out}: {exc.strerror}") from exc
 
 
 def _cmd_transform(args) -> int:
@@ -256,7 +248,7 @@ def _cmd_transform(args) -> int:
         "schema": 1,
         "command": "transform",
         "op": args.op,
-        "input": _input_block(args.path, g),
+        "input": _input_block(args.path, GraphFacts(g)),
         "timing_ms": None,
     }
     if list(labels) != list(range(g.n)):
@@ -337,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--strategy",
         default="auto",
-        choices=["auto", "degree1", "smallcut", "radius2", "p6free", "sp3p6", "domination", "oracle"],
+        choices=["auto", *STAGES],
     )
     p.add_argument("--oracle-bound", type=int, default=SolveConfig.oracle_bound)
     p.add_argument("--domination-bound", type=int, default=SolveConfig.domination_bound)
@@ -347,9 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exhaustive bipartition search")
     p.add_argument("path")
-    p.add_argument("--bound", type=int, default=SolveConfig.oracle_bound)
+    p.add_argument("--bound", dest="oracle_bound", metavar="BOUND", type=int, default=SolveConfig.oracle_bound)
     common(p)
-    p.set_defaults(func=_cmd_oracle)
+    p.set_defaults(
+        func=_cmd_solve,
+        strategy="oracle",
+        domination_bound=SolveConfig.domination_bound,
+        branch_budget=SolveConfig.branch_budget,
+    )
 
     p = sub.add_parser("analyze", help="report metrics and detected classes")
     p.add_argument("path")
@@ -388,10 +385,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (NotConnectedError, GraphFormatError, OracleBoundError,
+    except (CliError, NotConnectedError, GraphFormatError, OracleBoundError,
             TransformNotApplicable, BranchBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

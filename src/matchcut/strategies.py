@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .graphs import (
+    DistanceProfile,
     Graph,
     NotConnectedError,
     connected_components,
-    contains_induced,
     disjoint_union,
     distance_profile,
     find_induced,
@@ -25,7 +26,7 @@ from .graphs import (
     pattern_from_name,
 )
 from .finisher import decide_monochromatic_extension
-from .oracle import has_matching_cut_bruteforce
+from .oracle import OracleBoundError, has_matching_cut_bruteforce
 from .propagation import make_pair, propagate
 from .redblue import (
     Colouring,
@@ -64,7 +65,8 @@ class SolveOutcome:
 
 def _yes(g: Graph, colouring: Colouring, strategy: str, trace=None) -> SolveOutcome:
     cut = cut_from_colouring(g, colouring)  # validates the colouring
-    assert is_matching_cut(g, cut.edges)
+    if not is_matching_cut(g, cut.edges):
+        raise RuntimeError(f"{strategy} produced a cut that is not a matching cut")
     return SolveOutcome("yes", strategy, cut=cut, colouring=colouring, trace=dict(trace or {}))
 
 
@@ -74,6 +76,45 @@ def _no(strategy: str, reason: str, trace=None) -> SolveOutcome:
 
 def _inapplicable(strategy: str, reason: str) -> SolveOutcome:
     return SolveOutcome("inapplicable", strategy, reason=reason)
+
+
+_P6 = path_graph(6)
+
+
+class GraphFacts:
+    """Facts about one graph that several strategies need, each computed
+    at most once: connectivity when the record is made, the distance
+    profile, the small matching cut and induced-pattern witnesses on first
+    use. Every solver below takes either a Graph or a GraphFacts."""
+
+    def __init__(self, g: Graph) -> None:
+        self.graph = g
+        self.connected = is_connected(g)
+        self._witnesses: dict[Graph, tuple[int, ...] | None] = {}
+
+    def connected_graph(self) -> Graph:
+        """The graph; NotConnectedError when it is not connected."""
+        if not self.connected:
+            raise NotConnectedError("graph not connected")
+        return self.graph
+
+    @cached_property
+    def profile(self) -> DistanceProfile:
+        return distance_profile(self.graph)
+
+    @cached_property
+    def small_cut(self) -> MatchingCut | None:
+        return small_matching_cut(self.graph, 2)
+
+    def witness(self, pattern: Graph) -> tuple[int, ...] | None:
+        """First induced copy of `pattern`, as find_induced returns it."""
+        if pattern not in self._witnesses:
+            self._witnesses[pattern] = find_induced(self.graph, pattern)
+        return self._witnesses[pattern]
+
+
+def _facts(g: Graph | GraphFacts) -> GraphFacts:
+    return g if isinstance(g, GraphFacts) else GraphFacts(g)
 
 
 def pendant_cut(g: Graph) -> Colouring | None:
@@ -126,9 +167,10 @@ def solve_monochromatic_dominating(g: Graph, d) -> SolveOutcome:
 
 
 def _extend_dominating(g: Graph, d_list: list[int], idx: int, assign: dict[int, bool]):
-    """Recursive option enumeration for solve_with_dominating_set.
+    """Recursive option enumeration over the vertices of `d_list`, for
+    solve_with_dominating_set and around the lift's pattern copy.
 
-    For the next dominated vertex: if it already sees an opposite colour,
+    For the next listed vertex: if it already sees an opposite colour,
     all its unassigned neighbours take its own colour; otherwise branch on
     recolouring nothing or exactly one unassigned neighbour. Yields every
     completed assignment.
@@ -182,7 +224,7 @@ def solve_with_dominating_set(g: Graph, d) -> SolveOutcome:
     return _no("bounded-domination", "no valid colouring over the dominating set", {"options": options})
 
 
-def solve_radius_le2(g: Graph) -> SolveOutcome:
+def solve_radius_le2(g: Graph | GraphFacts) -> SolveOutcome:
     """Exact decision for graphs of radius at most 2.
 
     Radius <= 1: a matching cut exists exactly when some vertex has degree
@@ -192,9 +234,9 @@ def solve_radius_le2(g: Graph) -> SolveOutcome:
     propagation from ({u}, {v}) pins everything but components the 2-SAT
     finisher decides.
     """
-    if not is_connected(g):
-        raise NotConnectedError("graph not connected")
-    profile = distance_profile(g)
+    facts = _facts(g)
+    g = facts.connected_graph()
+    profile = facts.profile
     if profile.radius > 2:
         return _inapplicable("radius2", f"radius {profile.radius} exceeds 2")
     if profile.radius <= 1:
@@ -268,18 +310,21 @@ def _grow_biclique(g: Graph, u: int, v: int) -> tuple[set[int], set[int]]:
     return a, b
 
 
-def find_dominating_structure_p6free(g: Graph, exhaustive_cap: int = 10) -> DominatingStructure:
+_EXHAUSTIVE_CAP = 10
+
+
+def find_dominating_structure_p6free(g: Graph | GraphFacts) -> DominatingStructure:
     """Dominating induced C6 or dominating complete bipartite subgraph.
 
     Search order: induced 6-cycles over ascending 6-subsets, then greedy
     biclique growth from every ordered edge, then per-vertex stars, then
-    an exhaustive sweep over part pairs up to `exhaustive_cap` total
+    an exhaustive sweep over part pairs up to `_EXHAUSTIVE_CAP` total
     vertices. On P6-free connected input one of these must exist;
     exhausting the search anyway raises StructureSearchError.
     """
-    if not is_connected(g):
-        raise NotConnectedError("graph not connected")
-    if contains_induced(g, path_graph(6)):
+    facts = _facts(g)
+    g = facts.connected_graph()
+    if facts.witness(_P6) is not None:
         raise ValueError("graph contains an induced six-vertex path")
     for combo in itertools.combinations(range(g.n), 6):
         if not is_dominating(g, combo):
@@ -302,7 +347,7 @@ def find_dominating_structure_p6free(g: Graph, exhaustive_cap: int = 10) -> Domi
             return DominatingStructure(
                 "biclique", part_a=frozenset([u]), part_b=frozenset(g.adj[u])
             )
-    cap = min(g.n, exhaustive_cap)
+    cap = min(g.n, _EXHAUSTIVE_CAP)
     for total in range(2, cap + 1):
         for support in itertools.combinations(range(g.n), total):
             if not is_dominating(g, support):
@@ -319,7 +364,7 @@ def find_dominating_structure_p6free(g: Graph, exhaustive_cap: int = 10) -> Domi
     )
 
 
-def solve_p6_free(g: Graph) -> SolveOutcome:
+def solve_p6_free(g: Graph | GraphFacts) -> SolveOutcome:
     """Exact decision for graphs with no induced six-vertex path.
 
     Such graphs carry a dominating induced C6 or a dominating complete
@@ -330,11 +375,11 @@ def solve_p6_free(g: Graph) -> SolveOutcome:
     the star makes the radius at most 2. Remaining case r = s = 2: four
     dominating vertices.
     """
-    if not is_connected(g):
-        raise NotConnectedError("graph not connected")
-    if contains_induced(g, path_graph(6)):
+    facts = _facts(g)
+    g = facts.connected_graph()
+    if facts.witness(_P6) is not None:
         return _inapplicable("p6free", "graph contains an induced six-vertex path")
-    structure = find_dominating_structure_p6free(g)
+    structure = find_dominating_structure_p6free(facts)
     if structure.kind == "cycle6":
         out = solve_with_dominating_set(g, structure.cycle)
         out.trace["structure"] = 6
@@ -345,40 +390,12 @@ def solve_p6_free(g: Graph) -> SolveOutcome:
         if r >= 2 and s >= 3:
             out = solve_monochromatic_dominating(g, both)
         elif r == 1:
-            out = solve_radius_le2(g)
+            out = solve_radius_le2(facts)
             assert out.answer != "inapplicable"  # a dominating star forces radius <= 2
         else:  # r = s = 2
             out = solve_with_dominating_set(g, both)
         out.trace["structure"] = len(both)
     return replace(out, strategy="p6free")
-
-
-def _region_options(g: Graph, order: list[int], idx: int, assign: dict[int, bool]):
-    """Option enumeration around an induced pattern copy, as in
-    _extend_dominating but over the copy's vertices only."""
-    if idx == len(order):
-        yield assign
-        return
-    v = order[idx]
-    mine = assign[v]
-    opposite = 0
-    unassigned = []
-    for w in g.adj[v]:
-        got = assign.get(w)
-        if got is None:
-            unassigned.append(w)
-        elif got != mine:
-            opposite += 1
-    if opposite >= 2:
-        return
-    branches: list[int | None] = [None]
-    if opposite == 0:
-        branches.extend(unassigned)
-    for flip in branches:
-        child = dict(assign)
-        for w in unassigned:
-            child[w] = (not mine) if w == flip else mine
-        yield from _region_options(g, order, idx + 1, child)
 
 
 def _locally_valid(g: Graph, assign: dict[int, bool]) -> bool:
@@ -390,7 +407,7 @@ def _locally_valid(g: Graph, assign: dict[int, bool]) -> bool:
 
 
 def lift_h_plus_p3(
-    g: Graph,
+    g: Graph | GraphFacts,
     h: Graph,
     subsolver,
     config: SolveConfig | None = None,
@@ -405,19 +422,20 @@ def lift_h_plus_p3(
     fixpoint around an induced copy of h monochromatic. Branch on one
     bichromatic edge, all colourings of the copy, and at most one
     opposite-coloured neighbour per copy vertex; each branch seeds a
-    generalized starting pair and ends in the 2-SAT finisher.
+    generalized starting pair and ends in the 2-SAT finisher. `subsolver`
+    is called with the GraphFacts of `g`.
     """
     config = config or SolveConfig()
-    if not is_connected(g):
-        raise NotConnectedError("graph not connected")
-    if contains_induced(g, disjoint_union(h, path_graph(3))):
+    facts = _facts(g)
+    g = facts.connected_graph()
+    if facts.witness(disjoint_union(h, path_graph(3))) is not None:
         return _inapplicable(strategy, "graph is not (h + P3)-free")
-    cut = small_matching_cut(g, 2)
+    cut = facts.small_cut
     if cut is not None:
         return _yes(g, colouring_from_cut(g, cut), strategy, {"small_cut": len(cut)})
-    witness = find_induced(g, h)
+    witness = facts.witness(h)
     if witness is None:
-        out = subsolver(g)
+        out = subsolver(facts)
         out.trace["delegated"] = 1
         return replace(out, strategy=f"{strategy}>{out.strategy}")
     copy = sorted(set(witness))
@@ -437,7 +455,7 @@ def lift_h_plus_p3(
             if conflict:
                 continue
             trace["copy_colourings"] += 1
-            for region in _region_options(g, copy, 0, assign):
+            for region in _extend_dominating(g, copy, 0, assign):
                 trace["options"] += 1
                 if trace["options"] > config.branch_budget:
                     raise BranchBudgetError(
@@ -458,7 +476,7 @@ def lift_h_plus_p3(
     return _no(strategy, "every seed around the pattern copy is refuted", trace)
 
 
-def solve_sp3_p6(g: Graph, s: int, config: SolveConfig | None = None) -> SolveOutcome:
+def solve_sp3_p6(g: Graph | GraphFacts, s: int, config: SolveConfig | None = None) -> SolveOutcome:
     """Exact decision for (sP3 + P6)-free graphs, by peeling one P3 at a
     time down to the P6-free base case."""
     if s < 0:
@@ -476,99 +494,80 @@ def solve_sp3_p6(g: Graph, s: int, config: SolveConfig | None = None) -> SolveOu
     )
 
 
-def run_strategy(g: Graph, name: str, config: SolveConfig | None = None) -> SolveOutcome:
-    """Run one named strategy on its own, without dispatcher fallbacks.
+def _degree1(facts: GraphFacts, config: SolveConfig) -> SolveOutcome:
+    colouring = pendant_cut(facts.graph)
+    if colouring is None:
+        return _inapplicable("degree1", "no degree-1 vertex")
+    return _yes(facts.graph, colouring, "degree1")
+
+
+def _smallcut(facts: GraphFacts, config: SolveConfig) -> SolveOutcome:
+    if facts.small_cut is None:
+        return _inapplicable("smallcut", "no matching cut of size at most 2")
+    return _yes(facts.graph, colouring_from_cut(facts.graph, facts.small_cut), "smallcut")
+
+
+def _domination(facts: GraphFacts, config: SolveConfig) -> SolveOutcome:
+    dom = find_dominating_set(facts.graph, config.domination_bound)
+    if dom is None:
+        return _inapplicable(
+            "domination",
+            f"no dominating set of size at most {config.domination_bound}",
+        )
+    return solve_with_dominating_set(facts.graph, dom)
+
+
+def _oracle(facts: GraphFacts, config: SolveConfig) -> SolveOutcome:
+    cut = has_matching_cut_bruteforce(facts.graph, config.oracle_bound)
+    if cut is None:
+        return _no("oracle", "exhaustive bipartition search")
+    return _yes(facts.graph, colouring_from_cut(facts.graph, cut), "oracle")
+
+
+# The dispatcher's stages in the order `solve` tries them. The solvers are
+# looked up when a stage runs, not bound here, so wrapping a module-level
+# solver (as the benchmark's tracer does) reaches the dispatcher too.
+STAGES = {
+    "degree1": _degree1,
+    "smallcut": _smallcut,
+    "radius2": lambda facts, config: solve_radius_le2(facts),
+    "p6free": lambda facts, config: solve_p6_free(facts),
+    "sp3p6": lambda facts, config: solve_sp3_p6(facts, 1, config),
+    "domination": _domination,
+    "oracle": _oracle,
+}
+
+
+def run_strategy(g: Graph | GraphFacts, name: str, config: SolveConfig | None = None) -> SolveOutcome:
+    """Run one named stage on its own, without dispatcher fallbacks.
 
     The certificate-only scans (degree1, smallcut) report inapplicable
     rather than "no" when they find nothing, since absence of their
-    certificate does not settle the decision problem.
+    certificate does not settle the decision problem. The oracle raises
+    OracleBoundError above its bound.
     """
-    config = config or SolveConfig()
-    if not is_connected(g):
-        raise NotConnectedError("graph not connected")
-    if name == "degree1":
-        colouring = pendant_cut(g)
-        if colouring is None:
-            return _inapplicable("degree1", "no degree-1 vertex")
-        return _yes(g, colouring, "degree1")
-    if name == "smallcut":
-        cut = small_matching_cut(g, 2)
-        if cut is None:
-            return _inapplicable("smallcut", "no matching cut of size at most 2")
-        return _yes(g, colouring_from_cut(g, cut), "smallcut")
-    if name == "radius2":
-        return solve_radius_le2(g)
-    if name == "p6free":
-        return solve_p6_free(g)
-    if name == "sp3p6":
-        return solve_sp3_p6(g, 1, config)
-    if name == "domination":
-        dom = find_dominating_set(g, config.domination_bound)
-        if dom is None:
-            return _inapplicable(
-                "domination",
-                f"no dominating set of size at most {config.domination_bound}",
-            )
-        return solve_with_dominating_set(g, dom)
-    if name == "oracle":
-        cut = has_matching_cut_bruteforce(g, config.oracle_bound)
-        if cut is None:
-            return _no("oracle", "exhaustive bipartition search")
-        return _yes(g, colouring_from_cut(g, cut), "oracle")
-    raise ValueError(f"unknown strategy {name!r}")
+    facts = _facts(g)
+    facts.connected_graph()
+    if name not in STAGES:
+        raise ValueError(f"unknown strategy {name!r}")
+    return STAGES[name](facts, config or SolveConfig())
 
 
-def solve(g: Graph, config: SolveConfig | None = None) -> SolveOutcome:
-    """Dispatcher: cheap certificates first, then every structural strategy
-    in precondition order, then the bounded oracle, else inapplicable."""
+def solve(g: Graph | GraphFacts, config: SolveConfig | None = None) -> SolveOutcome:
+    """Dispatcher: the first decided outcome of the STAGES, in order, with
+    its 1-based position as trace["stages"]; inapplicable if none decides.
+    An oracle refusing past its bound counts as not deciding."""
     config = config or SolveConfig()
-    if g.n == 0:
+    facts = _facts(g)
+    if facts.graph.n == 0:
         raise NotConnectedError("graph is empty")
-    if not is_connected(g):
-        raise NotConnectedError("graph not connected")
-    stages = 0
-
-    stages += 1
-    colouring = pendant_cut(g)
-    if colouring is not None:
-        return _yes(g, colouring, "degree1", {"stages": stages})
-
-    stages += 1
-    cut = small_matching_cut(g, 2)
-    if cut is not None:
-        out = _yes(g, colouring_from_cut(g, cut), "smallcut", {"stages": stages})
-        return out
-
-    stages += 1
-    out = solve_radius_le2(g)
-    if out.answer != "inapplicable":
-        out.trace["stages"] = stages
-        return out
-
-    stages += 1
-    out = solve_p6_free(g)
-    if out.answer != "inapplicable":
-        out.trace["stages"] = stages
-        return out
-
-    stages += 1
-    out = solve_sp3_p6(g, 1, config)
-    if out.answer != "inapplicable":
-        out.trace["stages"] = stages
-        return out
-
-    stages += 1
-    dom = find_dominating_set(g, config.domination_bound)
-    if dom is not None:
-        out = solve_with_dominating_set(g, dom)
-        out.trace["stages"] = stages
-        return out
-
-    stages += 1
-    if g.n <= config.oracle_bound:
-        cut = has_matching_cut_bruteforce(g, config.oracle_bound)
-        if cut is None:
-            return _no("oracle", "exhaustive bipartition search", {"stages": stages})
-        return _yes(g, colouring_from_cut(g, cut), "oracle", {"stages": stages})
-
+    facts.connected_graph()
+    for position, stage in enumerate(STAGES.values(), 1):
+        try:
+            out = stage(facts, config)
+        except OracleBoundError:
+            continue
+        if out.answer != "inapplicable":
+            out.trace["stages"] = position
+            return out
     return _inapplicable("dispatch", "no exact strategy applies at this size")

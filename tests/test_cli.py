@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import matchcut
 from matchcut import is_matching_cut, load_edge_file
 from matchcut.cli import main
 
@@ -66,6 +67,13 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", bad)
         assert code == 1 and "line 2" in err
 
+    def test_domination_bound_below_one_is_an_error(self, capsys, fig1_path):
+        code, out, err = run_cli(
+            capsys, "solve", fig1_path, "--strategy", "domination", "--domination-bound", "0"
+        )
+        assert code == 1 and out == ""
+        assert err == "error: --domination-bound must be at least 1\n"
+
 
 class TestOracle:
     def test_matches_solve(self, capsys, fig1_path):
@@ -95,6 +103,16 @@ class TestAnalyze:
         a = json.loads(out)["analysis"]
         assert a["p6_free"] is True
         assert a["dominating_structure"]["kind"] == "cycle6"
+
+    def test_one_distance_profile_per_analyze(self, capsys, monkeypatch, fig1_path):
+        calls = []
+        profile = matchcut.graphs.distance_profile
+        for module in (matchcut.graphs, matchcut.strategies, matchcut.cli):
+            if hasattr(module, "distance_profile"):
+                monkeypatch.setattr(module, "distance_profile", lambda g: calls.append(g) or profile(g))
+        code, out, _ = run_cli(capsys, "analyze", fig1_path, "--quiet")
+        assert code == 0 and json.loads(out)["analysis"]["radius"] == 3
+        assert len(calls) == 1
 
 
 class TestVerify:
@@ -184,6 +202,15 @@ class TestGenerate:
     def test_unknown_family(self, capsys):
         code, _, err = run_cli(capsys, "generate", "Q9")
         assert code == 1 and "error:" in err
+
+    @pytest.mark.parametrize("command", [["generate", "C5"], ["transform", "blowup", "{c3}", "--pattern", "C5"]])
+    def test_unwritable_out_is_an_error(self, capsys, tmp_path, command):
+        c3 = write_graph(tmp_path, "c3.edges", "0 1\n1 2\n2 0\n")
+        target = str(tmp_path / "missing" / "x.edges")
+        argv = [arg.format(c3=c3) for arg in command]
+        code, out, err = run_cli(capsys, *argv, "--out", target)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
 
 
 def test_version_flag(capsys):

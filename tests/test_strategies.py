@@ -1,7 +1,11 @@
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matchcut.strategies
 from matchcut import (
     BranchBudgetError,
     Graph,
@@ -50,6 +54,14 @@ def dodecahedron() -> Graph:
            (15, 16), (16, 17), (17, 18), (18, 19), (19, 15)]
     )
     return Graph(20, edges)
+
+
+def lift_graph() -> Graph:
+    """Radius 3, no matching cut of at most two edges, an induced P6 and
+    no induced P3 + P6, so `solve` decides it in the (P3 + P6)-free lift."""
+    edges = [(0, 4), (0, 7), (0, 10), (1, 2), (1, 6), (2, 7), (2, 8), (2, 10),
+             (3, 6), (3, 7), (4, 5), (4, 6), (5, 8), (5, 9), (5, 10), (9, 10)]
+    return Graph(11, edges)
 
 
 def _check_yes(g, out):
@@ -280,6 +292,26 @@ class TestDispatcher:
     def test_disconnected_raises(self):
         with pytest.raises(NotConnectedError):
             solve(Graph(4, [(0, 1), (2, 3)]))
+
+    def test_one_small_cut_search_per_solve(self, monkeypatch):
+        calls = []
+        search = matchcut.strategies.small_matching_cut
+        monkeypatch.setattr(matchcut.strategies, "small_matching_cut", lambda *a: calls.append(a) or search(*a))
+        out = solve(lift_graph())
+        assert out.strategy == "sp3p6(s=1)" and out.answer == "yes"
+        assert len(calls) == 1
+
+    def test_yes_is_rechecked_under_python_O(self):
+        code = (
+            "import matchcut.strategies as s\n"
+            "s.is_matching_cut = lambda g, edges: False\n"
+            "try:\n"
+            "    s.solve(s.path_graph(3))\n"
+            "except RuntimeError as exc:\n"
+            "    print('refused:', exc)\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60)
+        assert proc.stdout.startswith("refused: degree1"), proc.stderr
 
 
 class TestRunStrategy:
