@@ -91,7 +91,17 @@ def cli_commands() -> list[list[str]]:
         ["verify", FIG1, "--cut", "1-2"],
     ]
     commands += [["solve", FIG1, "--strategy", name] for name in STAGES]
-    commands.append(["solve", FIG1, "--strategy", "oracle", "--oracle-bound", "10"])
+    commands += [
+        ["solve", FIG1, "--strategy", "oracle", "--oracle-bound", "10"],
+        ["transform", "k22", FIG1, "--edge", "3-7"],
+        ["transform", "blowup", FIG1, "--pattern", "C5"],
+        ["generate", "K3,3"],
+        ["generate", "gnp", "--n", "9", "--seed", "3"],
+        ["verify", FIG1, "--cut", "3-99"],
+        ["solve", FIG1, "--domination-bound", "0"],
+        ["solve", "fixtures/missing.edges"],
+        ["generate", "Q9"],
+    ]
     return commands
 
 
