@@ -2,8 +2,9 @@
 
 Every subcommand prints one JSON report to stdout (schema version 1,
 sorted keys, so identical inputs give byte-identical output) and a short
-human summary to stderr. Exit codes: 0 = decided or completed,
-2 = inapplicable, 1 = usage, format, or resource error.
+human summary to stderr. With `--timing` the report also gives the wall
+time of reading the graph plus the command. Exit codes: 0 = decided or
+completed, 2 = inapplicable, 1 = usage, format, or resource error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from . import __version__
 from .graphs import (
     Graph,
     GraphFormatError,
-    NotConnectedError,
     format_edge_text,
     girth,
     load_edge_file,
@@ -25,20 +25,16 @@ from .graphs import (
     pattern_from_name,
     star_graph,
 )
-from .oracle import OracleBoundError
-from .redblue import Colouring, colouring_from_cut, is_matching_cut
+from .redblue import Colouring, bichromatic_edges, colouring_from_cut, is_matching_cut
 from .strategies import (
     STAGES,
-    BranchBudgetError,
     GraphFacts,
     SolveConfig,
-    SolveOutcome,
     find_dominating_structure_p6free,
     run_strategy,
     solve,
 )
 from .transforms import (
-    TransformNotApplicable,
     girth_blowup,
     k22_replace,
     random_gnp,
@@ -60,7 +56,7 @@ def _load(path: str) -> tuple[Graph, tuple[int, ...]]:
         raise CliError(f"{path}: {exc}") from exc
 
 
-def _input_block(path: str | None, facts: GraphFacts) -> dict:
+def _input_block(path: str, facts: GraphFacts) -> dict:
     g = facts.graph
     block: dict = {"path": path, "n": g.n, "m": g.m, "radius": None, "diameter": None}
     if g.n and facts.connected:
@@ -70,34 +66,13 @@ def _input_block(path: str | None, facts: GraphFacts) -> dict:
 
 
 def _certificate(g: Graph, colouring: Colouring, labels) -> dict:
-    cut = [
-        sorted((labels[u], labels[v]))
-        for u, v in g.edges
-        if colouring.is_blue(u) != colouring.is_blue(v)
-    ]
     return {
         "red": sorted(labels[v] for v in colouring.red),
         "blue": sorted(labels[v] for v in colouring.blue),
-        "cut_edges": sorted(cut),
+        "cut_edges": sorted(
+            sorted((labels[u], labels[v])) for u, v in bichromatic_edges(g, colouring)
+        ),
     }
-
-
-def _outcome_report(command, path, facts, labels, outcome: SolveOutcome) -> dict:
-    report = {
-        "schema": 1,
-        "command": command,
-        "input": _input_block(path, facts),
-        "outcome": outcome.answer,
-        "strategy": outcome.strategy,
-        "trace": outcome.trace,
-        "certificate": None,
-        "timing_ms": None,
-    }
-    if outcome.answer == "yes":
-        report["certificate"] = _certificate(facts.graph, outcome.colouring, labels)
-    elif outcome.reason:
-        report["reason"] = outcome.reason
-    return report
 
 
 def _emit(report: dict, args) -> None:
@@ -112,35 +87,36 @@ def _emit(report: dict, args) -> None:
         print(" ".join(bits), file=sys.stderr)
 
 
-_EXIT = {"yes": 0, "no": 0, "inapplicable": 2}
+# Each _cmd_* returns (its own report fields, exit code); main() adds the
+# envelope: schema, command, input (commands that read PATH) and timing_ms.
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args, facts: GraphFacts, labels) -> tuple[dict, int]:
     """`solve`, and `oracle`, which is `solve --strategy oracle`."""
-    if args.domination_bound < 1:
-        raise CliError("--domination-bound must be at least 1")
-    g, labels = _load(args.path)
-    facts = GraphFacts(g)
     config = SolveConfig(
         oracle_bound=args.oracle_bound,
         domination_bound=args.domination_bound,
         branch_budget=args.branch_budget,
     )
-    started = time.perf_counter()
     if args.strategy == "auto":
         outcome = solve(facts, config)
     else:
         outcome = run_strategy(facts, args.strategy, config)
-    report = _outcome_report(args.command, args.path, facts, labels, outcome)
-    if args.timing:
-        report["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
-    _emit(report, args)
-    return _EXIT[outcome.answer]
+    fields = {
+        "outcome": outcome.answer,
+        "strategy": outcome.strategy,
+        "trace": outcome.trace,
+        "certificate": None,
+    }
+    if outcome.answer == "yes":
+        fields["certificate"] = _certificate(facts.graph, outcome.colouring, labels)
+    elif outcome.reason:
+        fields["reason"] = outcome.reason
+    return fields, 2 if outcome.answer == "inapplicable" else 0
 
 
-def _cmd_analyze(args) -> int:
-    g, labels = _load(args.path)
-    facts = GraphFacts(g)
+def _cmd_analyze(args, facts: GraphFacts, labels) -> tuple[dict, int]:
+    g = facts.graph
     connected = g.n > 0 and facts.connected
     analysis: dict = {
         "connected": connected,
@@ -172,15 +148,7 @@ def _cmd_analyze(args) -> int:
                     "part_a": sorted(labels[v] for v in structure.part_a),
                     "part_b": sorted(labels[v] for v in structure.part_b),
                 }
-    report = {
-        "schema": 1,
-        "command": "analyze",
-        "input": _input_block(args.path, facts),
-        "analysis": analysis,
-        "timing_ms": None,
-    }
-    _emit(report, args)
-    return 0
+    return {"analysis": analysis}, 0
 
 
 def _parse_pairs(text: str, what: str) -> list[tuple[int, int]]:
@@ -209,24 +177,20 @@ def _to_internal(pairs, labels, what: str) -> list[tuple[int, int]]:
         raise CliError(f"{what} names vertex {exc.args[0]}, which is not in the graph") from exc
 
 
-def _cmd_verify(args) -> int:
-    g, labels = _load(args.path)
+def _cmd_verify(args, facts: GraphFacts, labels) -> tuple[dict, int]:
+    # every matching of a disconnected graph disconnects it
+    g = facts.connected_graph()
     pairs = _parse_pairs(args.cut, "cut edge")
     edges = _to_internal(pairs, labels, "--cut")
     valid = is_matching_cut(g, edges)
-    report = {
-        "schema": 1,
-        "command": "verify",
-        "input": _input_block(args.path, GraphFacts(g)),
+    fields = {
         "cut": sorted(sorted(pair) for pair in pairs),
         "outcome": "valid" if valid else "invalid",
         "certificate": None,
-        "timing_ms": None,
     }
     if valid:
-        report["certificate"] = _certificate(g, colouring_from_cut(g, edges), labels)
-    _emit(report, args)
-    return 0 if valid else 1
+        fields["certificate"] = _certificate(g, colouring_from_cut(g, edges), labels)
+    return fields, 0 if valid else 1
 
 
 def _graph_payload(g: Graph, path) -> dict:
@@ -242,18 +206,12 @@ def _write_out(g: Graph, args) -> None:
             raise CliError(f"cannot write {args.out}: {exc.strerror}") from exc
 
 
-def _cmd_transform(args) -> int:
-    g, labels = _load(args.path)
-    report: dict = {
-        "schema": 1,
-        "command": "transform",
-        "op": args.op,
-        "input": _input_block(args.path, GraphFacts(g)),
-        "timing_ms": None,
-    }
+def _cmd_transform(args, facts: GraphFacts, labels) -> tuple[dict, int]:
+    g = facts.graph
+    fields: dict = {"op": args.op}
     if list(labels) != list(range(g.n)):
         # new vertices take fresh internal ids, so report the relabelling
-        report["input_labels"] = list(labels)
+        fields["input_labels"] = list(labels)
     if args.op == "k22":
         if not args.edge:
             raise CliError("transform k22 requires --edge u-v")
@@ -264,52 +222,35 @@ def _cmd_transform(args) -> int:
         if not g.has_edge(*edge):
             raise CliError(f"{pairs[0][0]}-{pairs[0][1]} is not an edge of the graph")
         out, provenance = k22_replace(g, edge)
-        report["provenance"] = {
+        fields["provenance"] = {
             "replaced": list(provenance["replaced"]),
             "midpoints": list(provenance["midpoints"]),
         }
     else:
         if not args.pattern:
             raise CliError("transform blowup requires --pattern (for example C5)")
-        try:
-            pattern = pattern_from_name(args.pattern)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-        out, rounds = girth_blowup(g, pattern)
-        report["pattern"] = args.pattern
-        report["rounds"] = rounds
-    report["output"] = _graph_payload(out, args.out)
+        out, rounds = girth_blowup(g, pattern_from_name(args.pattern))
+        fields["pattern"] = args.pattern
+        fields["rounds"] = rounds
+    fields["output"] = _graph_payload(out, args.out)
     _write_out(out, args)
-    _emit(report, args)
-    return 0
+    return fields, 0
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args) -> tuple[dict, int]:
     name = args.family
-    try:
-        if name == "gnp":
-            g = random_gnp(args.n, args.p, args.seed)
-        elif name == "radius2":
-            g = random_radius2(args.n, args.p, args.seed)
-        elif name == "pattern-free":
-            if not args.avoid:
-                raise CliError("generate pattern-free requires --avoid (for example P6)")
-            g = random_pattern_free(args.n, args.p, pattern_from_name(args.avoid), args.seed)
-        else:
-            g = pattern_from_name(name)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    report = {
-        "schema": 1,
-        "command": "generate",
-        "family": name,
-        "seed": args.seed,
-        "output": _graph_payload(g, args.out),
-        "timing_ms": None,
-    }
+    if name == "gnp":
+        g = random_gnp(args.n, args.p, args.seed)
+    elif name == "radius2":
+        g = random_radius2(args.n, args.p, args.seed)
+    elif name == "pattern-free":
+        if not args.avoid:
+            raise CliError("generate pattern-free requires --avoid (for example P6)")
+        g = random_pattern_free(args.n, args.p, pattern_from_name(args.avoid), args.seed)
+    else:
+        g = pattern_from_name(name)
     _write_out(g, args)
-    _emit(report, args)
-    return 0
+    return {"family": name, "seed": args.seed, "output": _graph_payload(g, args.out)}, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,14 +322,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (CliError, NotConnectedError, GraphFormatError, OracleBoundError,
-            TransformNotApplicable, BranchBudgetError) as exc:
+        if getattr(args, "domination_bound", 1) < 1:
+            raise CliError("--domination-bound must be at least 1")
+        started = time.perf_counter()
+        report = {"schema": 1, "command": args.command}
+        if "path" in args:
+            g, labels = _load(args.path)
+            facts = GraphFacts(g)
+            fields, code = args.func(args, facts, labels)
+            report["input"] = _input_block(args.path, facts)
+        else:
+            fields, code = args.func(args)
+        report.update(fields)
+        report["timing_ms"] = round((time.perf_counter() - started) * 1000, 3) if args.timing else None
+    except (CliError, ValueError, RuntimeError) as exc:
+        # every package error derives from ValueError or RuntimeError
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    _emit(report, args)
+    return code
 
 
 if __name__ == "__main__":

@@ -65,17 +65,11 @@ class Graph:
         self.n = n
         self.m = len(self.edges)
 
-    def neighbours(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj_bits[u] >> v & 1)
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):

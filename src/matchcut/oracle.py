@@ -7,8 +7,7 @@ anything past the size bound is refused loudly rather than attempted.
 
 from __future__ import annotations
 
-from .graphs import Graph, NotConnectedError, is_connected, mask_of
-from .propagation import FourTuple
+from .graphs import Graph, NotConnectedError, is_connected
 from .redblue import Colouring, MatchingCut, bichromatic_edges
 
 DEFAULT_BOUND = 22
@@ -16,13 +15,6 @@ DEFAULT_BOUND = 22
 
 class OracleBoundError(ValueError):
     """The instance exceeds the configured brute-force size bound."""
-
-
-def _check_bound(g: Graph, bound: int) -> None:
-    if g.n > bound:
-        raise OracleBoundError(
-            f"n={g.n} exceeds the oracle bound {bound}; raise the bound explicitly"
-        )
 
 
 def _valid_mask(g: Graph, blue: int, full: int) -> bool:
@@ -42,42 +34,13 @@ def has_matching_cut_bruteforce(g: Graph, bound: int = DEFAULT_BOUND) -> Matchin
     """
     if not is_connected(g):
         raise NotConnectedError("graph not connected")
-    _check_bound(g, bound)
+    if g.n > bound:
+        raise OracleBoundError(
+            f"n={g.n} exceeds the oracle bound {bound}; raise the bound explicitly"
+        )
     full = (1 << g.n) - 1
     for blue in range(2, 1 << g.n, 2):
         if _valid_mask(g, blue, full):
             c = Colouring(g.n, frozenset(v for v in range(g.n) if blue >> v & 1))
             return MatchingCut.from_edges(bichromatic_edges(g, c))
     return None
-
-
-def enumerate_valid_colourings(
-    g: Graph, constraints: FourTuple | None = None, bound: int = DEFAULT_BOUND
-) -> list[Colouring]:
-    """All valid colourings, in ascending order of their blue-set bitmask.
-
-    With `constraints` set, keeps only colourings whose red side contains
-    x, blue side contains y, red interface contains s and blue interface
-    contains t.
-    """
-    _check_bound(g, bound)
-    full = (1 << g.n) - 1
-    if constraints is not None:
-        xm = mask_of(constraints.x)
-        ym = mask_of(constraints.y)
-        s_list = sorted(constraints.s)
-        t_list = sorted(constraints.t)
-    out = []
-    for blue in range(1, full):
-        if not _valid_mask(g, blue, full):
-            continue
-        if constraints is not None:
-            if xm & blue or ym & ~blue:
-                continue
-            red = full ^ blue
-            if any((g.adj_bits[v] & blue).bit_count() != 1 for v in s_list):
-                continue
-            if any((g.adj_bits[v] & red).bit_count() != 1 for v in t_list):
-                continue
-        out.append(Colouring(g.n, frozenset(v for v in range(g.n) if blue >> v & 1)))
-    return out

@@ -35,9 +35,6 @@ class Colouring:
     def is_blue(self, v: int) -> bool:
         return v in self.blue
 
-    def swapped(self) -> "Colouring":
-        return Colouring(self.n, self.red)
-
 
 @dataclass(frozen=True)
 class MatchingCut:
@@ -88,22 +85,6 @@ def is_valid_colouring(g: Graph, c: Colouring) -> bool:
 def bichromatic_edges(g: Graph, c: Colouring) -> tuple[tuple[int, int], ...]:
     bm = c.blue_mask
     return tuple((u, v) for u, v in g.edges if (bm >> u & 1) != (bm >> v & 1))
-
-
-def red_interface(g: Graph, c: Colouring) -> frozenset[int]:
-    """Red vertices with a (necessarily unique, if valid) blue neighbour."""
-    bm = c.blue_mask
-    return frozenset(
-        v for v in range(g.n) if not (bm >> v & 1) and g.adj_bits[v] & bm
-    )
-
-
-def blue_interface(g: Graph, c: Colouring) -> frozenset[int]:
-    full = (1 << g.n) - 1
-    rm = full ^ c.blue_mask
-    return frozenset(
-        v for v in range(g.n) if c.blue_mask >> v & 1 and g.adj_bits[v] & rm
-    )
 
 
 def is_matching_cut(g: Graph, edges) -> bool:

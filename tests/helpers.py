@@ -1,4 +1,5 @@
-"""Shared test utilities: small-graph corpora and an independent cut check.
+"""Shared test utilities: small-graph corpora, an independent cut check
+and brute-force enumeration of valid colourings and their interfaces.
 
 The removal-based oracle here deliberately avoids the colouring machinery
 under test: it enumerates matchings edge by edge and checks disconnection
@@ -10,7 +11,9 @@ from __future__ import annotations
 import itertools
 import random
 
-from matchcut import Graph, is_connected
+from matchcut import Colouring, FourTuple, Graph, OracleBoundError, is_connected
+from matchcut.graphs import mask_of
+from matchcut.oracle import DEFAULT_BOUND
 
 
 def all_connected_graphs(n: int):
@@ -42,7 +45,7 @@ def _disconnected_without(g: Graph, removed: frozenset) -> bool:
     stack = [0]
     while stack:
         v = stack.pop()
-        for w in g.neighbours(v):
+        for w in g.adj[v]:
             key = (v, w) if v < w else (w, v)
             if key in removed or seen >> w & 1:
                 continue
@@ -87,3 +90,43 @@ def valid_blue_masks(g: Graph) -> list[int]:
         if ok:
             out.append(blue)
     return out
+
+
+def enumerate_valid_colourings(
+    g: Graph, constraints: FourTuple | None = None, bound: int = DEFAULT_BOUND
+) -> list[Colouring]:
+    """All valid colourings, in ascending order of their blue-set bitmask.
+
+    With `constraints` set, keeps only colourings whose red side contains
+    x, blue side contains y, red interface contains s and blue interface
+    contains t.
+    """
+    if g.n > bound:
+        raise OracleBoundError(f"n={g.n} exceeds the oracle bound {bound}")
+    out = []
+    for blue in valid_blue_masks(g):
+        if constraints is not None:
+            if mask_of(constraints.x) & blue or mask_of(constraints.y) & ~blue:
+                continue
+            if any((g.adj_bits[v] & blue).bit_count() != 1 for v in constraints.s):
+                continue
+            if any((g.adj_bits[v] & ~blue).bit_count() != 1 for v in constraints.t):
+                continue
+        out.append(Colouring(g.n, frozenset(v for v in range(g.n) if blue >> v & 1)))
+    return out
+
+
+def red_interface(g: Graph, c: Colouring) -> frozenset[int]:
+    """Red vertices with a (necessarily unique, if valid) blue neighbour."""
+    bm = c.blue_mask
+    return frozenset(
+        v for v in range(g.n) if not (bm >> v & 1) and g.adj_bits[v] & bm
+    )
+
+
+def blue_interface(g: Graph, c: Colouring) -> frozenset[int]:
+    full = (1 << g.n) - 1
+    rm = full ^ c.blue_mask
+    return frozenset(
+        v for v in range(g.n) if c.blue_mask >> v & 1 and g.adj_bits[v] & rm
+    )

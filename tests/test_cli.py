@@ -38,10 +38,6 @@ class TestSolve:
         code, out, err = run_cli(capsys, "solve", fig1_path, "--quiet")
         assert code == 0 and err == ""
 
-    def test_timing_flag(self, capsys, fig1_path):
-        _, out, _ = run_cli(capsys, "solve", fig1_path, "--timing", "--quiet")
-        assert isinstance(json.loads(out)["timing_ms"], float)
-
     def test_forced_strategy_inapplicable_exit(self, capsys, fig1_path):
         code, out, _ = run_cli(capsys, "solve", fig1_path, "--strategy", "radius2", "--quiet")
         assert code == 2
@@ -138,6 +134,13 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", fig1_path, "--cut", "3:7")
         assert code == 1 and "expected" in err
 
+    def test_disconnected_graph_is_an_error(self, capsys, tmp_path):
+        # 0-1 is a matching, and the graph is already disconnected without it
+        two = write_graph(tmp_path, "two.edges", "0 1\n1 2\n2 0\n3 4\n")
+        code, out, err = run_cli(capsys, "verify", two, "--cut", "0-1")
+        assert code == 1 and out == ""
+        assert err == "error: graph not connected\n"
+
 
 class TestTransform:
     def test_k22_in_original_labels(self, capsys, fig1_path, tmp_path):
@@ -211,6 +214,47 @@ class TestGenerate:
         code, out, err = run_cli(capsys, *argv, "--out", target)
         assert code == 1 and out == ""
         assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["solve", "{fig1}"],
+        ["oracle", "{fig1}"],
+        ["analyze", "{fig1}"],
+        ["verify", "{fig1}", "--cut", "3-7,4-8,5-10,6-9"],
+        ["transform", "k22", "{fig1}", "--edge", "3-7"],
+        ["generate", "C6"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_timing_flag(capsys, fig1_path, command):
+    argv = [arg.format(fig1=fig1_path) for arg in command]
+    code, out, _ = run_cli(capsys, *argv, "--timing", "--quiet")
+    assert code == 0
+    assert isinstance(json.loads(out)["timing_ms"], float)
+
+
+PACKAGE_ERRORS = sorted(
+    {
+        obj
+        for obj in map(vars(matchcut).get, matchcut.__all__)
+        if isinstance(obj, type) and issubclass(obj, Exception)
+    }
+    | {ValueError, RuntimeError, matchcut.cli.CliError},
+    key=lambda cls: cls.__name__,
+)
+
+
+@pytest.mark.parametrize("error", PACKAGE_ERRORS, ids=lambda cls: cls.__name__)
+def test_package_errors_map_to_exit_one(capsys, monkeypatch, fig1_path, error):
+    def fail(*args, **kwargs):
+        raise error("stage failed")
+
+    monkeypatch.setattr(matchcut.strategies, "solve_radius_le2", fail)
+    code, out, err = run_cli(capsys, "solve", fig1_path, "--strategy", "radius2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_version_flag(capsys):

@@ -11,7 +11,6 @@ from matchcut import (
     connected_components,
     cycle_graph,
     decide_monochromatic_extension,
-    enumerate_valid_colourings,
     is_valid_colouring,
     make_pair,
     path_graph,
@@ -20,7 +19,7 @@ from matchcut import (
 )
 from matchcut.finisher import TwoSatInstance
 
-from .helpers import random_connected_graph
+from .helpers import enumerate_valid_colourings, random_connected_graph
 
 
 class TestTwoSat:

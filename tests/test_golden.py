@@ -21,6 +21,7 @@ import io
 import json
 import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -204,6 +205,24 @@ def test_cli_bytes_match_the_recording():
     assert [argv for argv, *_ in rows] == cli_commands()
     for argv, *want in rows:
         assert _run_cli(argv) == want, argv
+
+
+def test_cli_bytes_match_the_recording_under_python_O():
+    """No check that a report depends on is an `assert`, which -O strips."""
+    script = (
+        "import json\n"
+        "from tests.test_golden import _run_cli, cli_commands\n"
+        "print(json.dumps([__debug__, [[argv, *_run_cli(argv)] for argv in cli_commands()]]))\n"
+    )
+    path = [str(ROOT / "src"), str(ROOT), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], cwd=ROOT, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    debug, rows = json.loads(proc.stdout)
+    assert debug is False
+    assert rows == _golden()["cli"]
 
 
 if __name__ == "__main__":

@@ -47,7 +47,7 @@ class TestGraphConstruction:
     def test_degree_and_neighbours(self):
         g = star_graph(4)
         assert g.degree(0) == 4
-        assert sorted(g.neighbours(0)) == [1, 2, 3, 4]
+        assert sorted(g.adj[0]) == [1, 2, 3, 4]
         assert g.adj_bits[1] == 1  # leaf sees only the hub
 
     def test_has_edge_is_symmetric(self):

@@ -6,7 +6,6 @@ from matchcut import (
     OracleBoundError,
     complete_graph,
     cycle_graph,
-    enumerate_valid_colourings,
     has_matching_cut_bruteforce,
     is_matching_cut,
     is_valid_colouring,
@@ -15,7 +14,12 @@ from matchcut import (
     propagate,
     star_graph,
 )
-from .helpers import has_cut_by_matching_removal, random_connected_graph, valid_blue_masks
+from .helpers import (
+    enumerate_valid_colourings,
+    has_cut_by_matching_removal,
+    random_connected_graph,
+    valid_blue_masks,
+)
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])

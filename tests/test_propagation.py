@@ -12,12 +12,11 @@ from matchcut import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    enumerate_valid_colourings,
     make_pair,
     path_graph,
     propagate,
 )
-from .helpers import random_connected_graph, valid_blue_masks
+from .helpers import enumerate_valid_colourings, random_connected_graph, valid_blue_masks
 
 
 class TestMakePair:
@@ -124,7 +123,7 @@ def _propagate_random_order(g, pair, rng):
         order = sorted(z)
         rng.shuffle(order)
         for v in order:
-            nb = set(g.neighbours(v))
+            nb = set(g.adj[v])
             in_s, in_t = nb & s, nb & t
             in_x, in_y = nb & (x - s), nb & (y - t)
             if (in_s and in_t) or (in_s and len(in_y) >= 2) \

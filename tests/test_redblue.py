@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from matchcut import (
     Colouring,
     bichromatic_edges,
-    blue_interface,
     colouring_from_cut,
     complete_graph,
     cut_from_colouring,
@@ -14,17 +13,16 @@ from matchcut import (
     is_matching_cut,
     is_valid_colouring,
     path_graph,
-    red_interface,
     star_graph,
 )
-from .helpers import random_connected_graph, valid_blue_masks
+from .helpers import blue_interface, random_connected_graph, red_interface, valid_blue_masks
 
 
 def test_colouring_partition():
     c = Colouring(4, frozenset({1, 3}))
     assert c.red == frozenset({0, 2})
     assert c.is_blue(3) and not c.is_blue(0)
-    assert c.swapped().blue == frozenset({0, 2})
+    assert Colouring(c.n, c.red).blue == frozenset({0, 2})
 
 
 def test_path_split_is_valid():
