@@ -46,7 +46,9 @@ FIG1 = "fixtures/fig1.edges"
 STAGES = ("degree1", "smallcut", "radius2", "p6free", "sp3p6", "domination", "oracle")
 
 # Strategies `solve` must end in somewhere in the corpus.
-REQUIRED = ("degree1", "smallcut", "radius2", "sp3p6(s=1)", "bounded-domination", "oracle", "dispatch")
+REQUIRED = (
+    "degree1", "smallcut", "radius2", "p6free", "sp3p6(s=1)", "bounded-domination", "oracle", "dispatch",
+)
 
 # (seed, SolveConfig keyword arguments); the comment names where solve ends.
 SEEDED = (
@@ -54,6 +56,8 @@ SEEDED = (
     (72, {}),  # smallcut
     (0, {}),  # radius2, no
     (8, {}),  # radius2, yes
+    (86315, {}),  # p6free, yes
+    (233874, {}),  # p6free, no
     (637, {}),  # sp3p6(s=1), no
     (1070, {}),  # sp3p6(s=1), yes
     (963, {}),  # bounded-domination, yes
