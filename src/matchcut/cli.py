@@ -1,6 +1,6 @@
 """Command-line front-end.
 
-Every subcommand prints one JSON report to stdout (schema version 1,
+Every subcommand prints one JSON report to stdout (schema version 2,
 sorted keys, so identical inputs give byte-identical output) and a short
 human summary to stderr. With `--timing` the report also gives the wall
 time of reading the graph plus the command. Exit codes: 0 = decided or
@@ -56,15 +56,6 @@ def _load(path: str) -> tuple[Graph, tuple[int, ...]]:
         raise CliError(f"{path}: {exc}") from exc
 
 
-def _input_block(path: str, facts: GraphFacts) -> dict:
-    g = facts.graph
-    block: dict = {"path": path, "n": g.n, "m": g.m, "radius": None, "diameter": None}
-    if g.n and facts.connected:
-        block["radius"] = facts.profile.radius
-        block["diameter"] = facts.profile.diameter
-    return block
-
-
 def _certificate(g: Graph, colouring: Colouring, labels) -> dict:
     return {
         "red": sorted(labels[v] for v in colouring.red),
@@ -117,12 +108,11 @@ def _cmd_solve(args, facts: GraphFacts, labels) -> tuple[dict, int]:
 
 def _cmd_analyze(args, facts: GraphFacts, labels) -> tuple[dict, int]:
     g = facts.graph
-    connected = g.n > 0 and facts.connected
     analysis: dict = {
-        "connected": connected,
+        "connected": facts.connected,
         "girth": girth(g),
-        "min_degree": min((g.degree(v) for v in range(g.n)), default=0),
-        "max_degree": max((g.degree(v) for v in range(g.n)), default=0),
+        "min_degree": min(g.degree(v) for v in range(g.n)),
+        "max_degree": max(g.degree(v) for v in range(g.n)),
         "p6_free": facts.witness(path_graph(6)) is None,
         "claw_free": facts.witness(star_graph(3)) is None,
         "radius": None,
@@ -130,7 +120,7 @@ def _cmd_analyze(args, facts: GraphFacts, labels) -> tuple[dict, int]:
         "center": None,
         "dominating_structure": None,
     }
-    if connected:
+    if facts.connected:
         profile = facts.profile
         analysis["radius"] = profile.radius
         analysis["diameter"] = profile.diameter
@@ -327,12 +317,11 @@ def main(argv=None) -> int:
         if getattr(args, "domination_bound", 1) < 1:
             raise CliError("--domination-bound must be at least 1")
         started = time.perf_counter()
-        report = {"schema": 1, "command": args.command}
+        report = {"schema": 2, "command": args.command}
         if "path" in args:
             g, labels = _load(args.path)
-            facts = GraphFacts(g)
-            fields, code = args.func(args, facts, labels)
-            report["input"] = _input_block(args.path, facts)
+            report["input"] = {"path": args.path, "n": g.n, "m": g.m}
+            fields, code = args.func(args, GraphFacts(g), labels)
         else:
             fields, code = args.func(args)
         report.update(fields)

@@ -160,9 +160,8 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
 
 @dataclass(frozen=True)
 class DistanceProfile:
-    """Per-vertex eccentricities plus the derived radius/diameter/center."""
+    """Radius, diameter and center, from the per-vertex eccentricities."""
 
-    eccentricity: tuple[int, ...]
     radius: int
     diameter: int
     center: frozenset[int]
@@ -180,7 +179,6 @@ def distance_profile(g: Graph) -> DistanceProfile:
         ecc.append(max(dist))
     radius = min(ecc)
     return DistanceProfile(
-        eccentricity=tuple(ecc),
         radius=radius,
         diameter=max(ecc),
         center=frozenset(v for v in range(g.n) if ecc[v] == radius),
@@ -235,11 +233,13 @@ def find_dominating_set(g: Graph, max_size: int) -> frozenset[int] | None:
     """Smallest dominating set of size <= max_size, or None.
 
     Exhaustive search; ties broken lexicographically (first combination in
-    ascending order wins).
+    ascending order wins). A set of k vertices dominates at most
+    k * (max degree + 1) of them, so smaller sizes are not searched.
     """
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
-    for size in range(1, min(max_size, g.n) + 1):
+    reach = max((g.degree(v) for v in range(g.n)), default=0) + 1
+    for size in range(max(1, -(-g.n // reach)), min(max_size, g.n) + 1):
         for combo in itertools.combinations(range(g.n), size):
             if is_dominating(g, combo):
                 return frozenset(combo)

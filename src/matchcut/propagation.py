@@ -38,9 +38,6 @@ class FourTuple:
     x: frozenset[int]
     y: frozenset[int]
 
-    def residual(self, g: Graph) -> frozenset[int]:
-        return frozenset(v for v in range(g.n) if v not in self.x and v not in self.y)
-
 
 def make_pair(g: Graph, s_prime, t_prime) -> StartingPair:
     """Validate a starting pair and compute its core.

@@ -32,9 +32,6 @@ class Colouring:
     def red(self) -> frozenset[int]:
         return frozenset(v for v in range(self.n) if v not in self.blue)
 
-    def is_blue(self, v: int) -> bool:
-        return v in self.blue
-
 
 @dataclass(frozen=True)
 class MatchingCut:

@@ -26,7 +26,7 @@ from .graphs import (
     pattern_from_name,
 )
 from .finisher import decide_monochromatic_extension
-from .oracle import OracleBoundError, has_matching_cut_bruteforce
+from .oracle import DEFAULT_BOUND, OracleBoundError, has_matching_cut_bruteforce
 from .propagation import make_pair, propagate
 from .redblue import (
     Colouring,
@@ -48,7 +48,7 @@ class StructureSearchError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveConfig:
-    oracle_bound: int = 22
+    oracle_bound: int = DEFAULT_BOUND
     domination_bound: int = 4
     branch_budget: int = 2_000_000
 
@@ -83,14 +83,18 @@ _P6 = path_graph(6)
 
 class GraphFacts:
     """Facts about one graph that several strategies need, each computed
-    at most once: connectivity when the record is made, the distance
-    profile, the small matching cut and induced-pattern witnesses on first
-    use. Every solver below takes either a Graph or a GraphFacts."""
+    when it is first needed and at most once: connectivity, the distance
+    profile, the small matching cut and induced-pattern witnesses. Making
+    the record computes nothing. Every solver below takes either a Graph
+    or a GraphFacts."""
 
     def __init__(self, g: Graph) -> None:
         self.graph = g
-        self.connected = is_connected(g)
         self._witnesses: dict[Graph, tuple[int, ...] | None] = {}
+
+    @cached_property
+    def connected(self) -> bool:
+        return is_connected(self.graph)
 
     def connected_graph(self) -> Graph:
         """The graph; NotConnectedError when it is not connected."""
@@ -544,7 +548,8 @@ def run_strategy(g: Graph | GraphFacts, name: str, config: SolveConfig | None = 
     The certificate-only scans (degree1, smallcut) report inapplicable
     rather than "no" when they find nothing, since absence of their
     certificate does not settle the decision problem. The oracle raises
-    OracleBoundError above its bound.
+    OracleBoundError above its bound, and the sp3p6 lift BranchBudgetError
+    past its budget.
     """
     facts = _facts(g)
     facts.connected_graph()
@@ -556,7 +561,8 @@ def run_strategy(g: Graph | GraphFacts, name: str, config: SolveConfig | None = 
 def solve(g: Graph | GraphFacts, config: SolveConfig | None = None) -> SolveOutcome:
     """Dispatcher: the first decided outcome of the STAGES, in order, with
     its 1-based position as trace["stages"]; inapplicable if none decides.
-    An oracle refusing past its bound counts as not deciding."""
+    A stage refusing past its bound or budget (the oracle's bound, the
+    lift's branch budget) counts as not deciding."""
     config = config or SolveConfig()
     facts = _facts(g)
     if facts.graph.n == 0:
@@ -565,7 +571,7 @@ def solve(g: Graph | GraphFacts, config: SolveConfig | None = None) -> SolveOutc
     for position, stage in enumerate(STAGES.values(), 1):
         try:
             out = stage(facts, config)
-        except OracleBoundError:
+        except (OracleBoundError, BranchBudgetError):
             continue
         if out.answer != "inapplicable":
             out.trace["stages"] = position

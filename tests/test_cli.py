@@ -26,7 +26,7 @@ class TestSolve:
         code, out, err = run_cli(capsys, "solve", fig1_path)
         assert code == 0
         report = json.loads(out)
-        assert report["schema"] == 1
+        assert report["schema"] == 2
         assert report["outcome"] == "yes"
         g, labels = fig1
         back = {lab: v for v, lab in enumerate(labels)}
@@ -89,7 +89,7 @@ class TestAnalyze:
         a = json.loads(out)["analysis"]
         assert a["connected"] is True
         assert a["girth"] == 3
-        assert json.loads(out)["input"]["radius"] == 3
+        assert a["radius"] == 3
         assert a["p6_free"] is False
         assert a["dominating_structure"] is None
 
@@ -255,6 +255,21 @@ def test_package_errors_map_to_exit_one(capsys, monkeypatch, fig1_path, error):
     code, out, err = run_cli(capsys, "solve", fig1_path, "--strategy", "radius2")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _refuse(*args):
+    raise AssertionError("computed a fact this command does not use")
+
+
+def test_facts_are_computed_only_where_used(capsys, monkeypatch, fig1_path):
+    """Only analyze and the solvers from radius2 on need the all-pairs BFS,
+    and transform needs no connectivity check."""
+    transform = ("transform", "blowup", fig1_path, "--pattern", "C5", "--quiet")
+    monkeypatch.setattr(matchcut.strategies, "distance_profile", _refuse)
+    for argv in (("verify", fig1_path, "--cut", "3-7", "--quiet"), transform, ("solve", fig1_path, "--quiet")):
+        assert run_cli(capsys, *argv)[0] == 0, argv
+    monkeypatch.setattr(matchcut.strategies, "is_connected", _refuse)
+    assert run_cli(capsys, *transform)[0] == 0
 
 
 def test_version_flag(capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matchcut.graphs
 from matchcut import (
     Graph,
     GraphFormatError,
@@ -180,6 +181,14 @@ class TestDomination:
     def test_found_set_is_smallest(self):
         g = star_graph(4)
         assert find_dominating_set(g, 3) == frozenset({0})
+
+    def test_sizes_too_small_to_dominate_are_not_searched(self, monkeypatch):
+        # 4 vertices of degree 2 dominate at most 12 of the 40
+        calls = []
+        check = matchcut.graphs.is_dominating
+        monkeypatch.setattr(matchcut.graphs, "is_dominating", lambda g, d: calls.append(d) or check(g, d))
+        assert find_dominating_set(cycle_graph(40), 4) is None
+        assert calls == []
 
 
 class TestCatalog:

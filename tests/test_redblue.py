@@ -21,7 +21,7 @@ from .helpers import blue_interface, random_connected_graph, red_interface, vali
 def test_colouring_partition():
     c = Colouring(4, frozenset({1, 3}))
     assert c.red == frozenset({0, 2})
-    assert c.is_blue(3) and not c.is_blue(0)
+    assert 3 in c.blue and 0 not in c.blue
     assert Colouring(c.n, c.red).blue == frozenset({0, 2})
 
 

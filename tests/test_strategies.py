@@ -38,6 +38,7 @@ from matchcut import (
     star_graph,
 )
 from .helpers import all_connected_graphs, random_connected_graph
+from .test_golden import seeded_graph
 
 
 def wheel5() -> Graph:
@@ -292,6 +293,18 @@ class TestDispatcher:
     def test_disconnected_raises(self):
         with pytest.raises(NotConnectedError):
             solve(Graph(4, [(0, 1), (2, 3)]))
+
+    @pytest.mark.parametrize("seed", [637, 1070])
+    def test_lift_past_its_budget_passes_on(self, seed):
+        g = seeded_graph(seed)
+        config = SolveConfig(branch_budget=1)
+        with pytest.raises(BranchBudgetError):
+            run_strategy(g, "sp3p6", config)
+        out = solve(g, config)
+        assert out.strategy == "bounded-domination"
+        assert (out.answer == "yes") == (has_matching_cut_bruteforce(g) is not None)
+        if out.answer == "yes":
+            _check_yes(g, out)
 
     def test_one_small_cut_search_per_solve(self, monkeypatch):
         calls = []
