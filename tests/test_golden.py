@@ -92,6 +92,7 @@ def cli_commands() -> list[list[str]]:
         ["oracle", FIG1],
         ["oracle", FIG1, "--bound", "10"],
         ["analyze", FIG1],
+        ["analyze", "fixtures/two-c6.edges"],
         ["verify", FIG1, "--cut", "3-7"],
         ["verify", FIG1, "--cut", "1-2"],
     ]
