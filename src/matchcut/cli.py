@@ -4,13 +4,15 @@ Every subcommand prints one JSON report to stdout (schema version 2,
 sorted keys, so identical inputs give byte-identical output) and a short
 human summary to stderr. With `--timing` the report also gives the wall
 time of reading the graph plus the command. Exit codes: 0 = decided or
-completed, 2 = inapplicable, 1 = usage, format, or resource error.
+completed, 2 = inapplicable, 1 = usage, format, or resource error, or
+stdout closed before the report was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -67,7 +69,7 @@ def _certificate(g: Graph, colouring: Colouring, labels) -> dict:
 
 
 def _emit(report: dict, args) -> None:
-    print(json.dumps(report, sort_keys=True, indent=2))
+    print(json.dumps(report, sort_keys=True, indent=2), flush=True)
     if not args.quiet:
         bits = [report["command"], str(report.get("outcome", "ok"))]
         if report.get("strategy"):
@@ -330,7 +332,13 @@ def main(argv=None) -> int:
         # every package error derives from ValueError or RuntimeError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(report, args)
+    try:
+        _emit(report, args)
+    except BrokenPipeError as exc:
+        # the reader is gone; keep the flush at exit from failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write the report: {exc.strerror}", file=sys.stderr)
+        return 1
     return code
 
 

@@ -83,31 +83,15 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def from_edge_list(pairs) -> tuple[Graph, tuple[int, ...]]:
-    """Build a Graph from (u, v) pairs, collapsing duplicate edges.
-
-    Vertex ids may be arbitrary non-negative integers; they are remapped to
-    0..n-1 in ascending order of the original ids. Returns (graph, labels)
-    where labels[i] is the original id of internal vertex i; the mapping is
-    the identity whenever the input ids are already 0..n-1.
-    """
-    pairs = [(int(u), int(v)) for u, v in pairs]
-    for u, v in pairs:
-        if u == v:
-            raise GraphFormatError(f"self-loop at vertex {u}")
-        if u < 0 or v < 0:
-            raise GraphFormatError("negative vertex id")
-    ids = sorted({x for e in pairs for x in e})
-    index = {orig: i for i, orig in enumerate(ids)}
-    g = Graph(len(ids), [(index[u], index[v]) for u, v in pairs])
-    return g, tuple(ids)
-
-
 def parse_edge_text(text: str) -> tuple[Graph, tuple[int, ...]]:
     """Parse the whitespace edge-list format: one `u v` pair per line.
 
-    Blank lines and lines starting with `#` are ignored. Errors carry the
-    offending line number.
+    Blank lines and lines starting with `#` are ignored and duplicate
+    edges collapse. Errors carry the offending line number. Vertex ids may
+    be arbitrary non-negative integers; they are remapped to 0..n-1 in
+    ascending order. Returns (graph, labels) where labels[i] is the
+    original id of internal vertex i, so the mapping is the identity
+    whenever the input ids are already 0..n-1.
     """
     pairs = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -128,7 +112,9 @@ def parse_edge_text(text: str) -> tuple[Graph, tuple[int, ...]]:
         pairs.append((u, v))
     if not pairs:
         raise GraphFormatError("no edges found")
-    return from_edge_list(pairs)
+    ids = sorted({x for e in pairs for x in e})
+    index = {orig: i for i, orig in enumerate(ids)}
+    return Graph(len(ids), [(index[u], index[v]) for u, v in pairs]), tuple(ids)
 
 
 def load_edge_file(path) -> tuple[Graph, tuple[int, ...]]:
@@ -269,48 +255,50 @@ def girth(g: Graph) -> int | None:
     return best
 
 
+def induced_copies(host: Graph, pattern: Graph):
+    """Yield every induced embedding of `pattern` in `host`.
+
+    An embedding maps pattern vertex i to image[i]. Pattern vertices are
+    assigned in id order with host candidates scanned ascending, so the
+    embeddings come in ascending lexicographic order.
+    """
+    k = pattern.n
+    if k > host.n:
+        return
+    anchors = [[j for j in range(i) if pattern.has_edge(i, j)] for i in range(k)]
+    image = [-1] * k
+    used = [False] * host.n
+    adj_bits = host.adj_bits
+
+    def extend(i: int, placed: int):
+        # `placed` is the mask of image[:i] (`used` holds the same set, as
+        # a list, since shifting a wide mask is slow on large hosts); a
+        # candidate fits when its neighbours among those are exactly the
+        # images of i's anchors.
+        if i == k:
+            yield tuple(image)
+            return
+        need = 0
+        for j in anchors[i]:
+            need |= 1 << image[j]
+        candidates = host.adj[image[anchors[i][0]]] if anchors[i] else range(host.n)
+        for w in candidates:
+            if not used[w] and (adj_bits[w] & placed) == need:
+                image[i] = w
+                used[w] = True
+                yield from extend(i + 1, placed | 1 << w)
+                used[w] = False
+
+    yield from extend(0, 0)
+
+
 def find_induced(host: Graph, pattern: Graph) -> tuple[int, ...] | None:
     """First induced embedding of `pattern` in `host`, or None.
 
-    The result maps pattern vertex i to result[i]. Pattern vertices are
-    assigned in id order with host candidates scanned ascending, so the
-    returned image tuple is the lexicographically first feasible one.
+    The result maps pattern vertex i to result[i]; it is the
+    lexicographically first image tuple (see induced_copies).
     """
-    k = pattern.n
-    if k == 0:
-        return ()
-    if k > host.n:
-        return None
-    edge_anchors = [[j for j in range(i) if pattern.has_edge(i, j)] for i in range(k)]
-    image = [-1] * k
-    used = [False] * host.n
-
-    def extend(i: int) -> bool:
-        if i == k:
-            return True
-        anchors = edge_anchors[i]
-        candidates = host.adj[image[anchors[0]]] if anchors else range(host.n)
-        need = pattern.adj_bits[i]
-        for w in candidates:
-            if used[w]:
-                continue
-            ok = True
-            wbits = host.adj_bits[w]
-            for j in range(i):
-                if bool(wbits >> image[j] & 1) != bool(need >> j & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            image[i] = w
-            used[w] = True
-            if extend(i + 1):
-                return True
-            used[w] = False
-        image[i] = -1
-        return False
-
-    return tuple(image) if extend(0) else None
+    return next(induced_copies(host, pattern), None)
 
 
 def contains_induced(host: Graph, pattern: Graph) -> bool:

@@ -16,9 +16,11 @@ from .graphs import (
     Graph,
     NotConnectedError,
     connected_components,
+    cycle_graph,
     disjoint_union,
     distance_profile,
     find_induced,
+    induced_copies,
     is_connected,
     is_dominating,
     find_dominating_set,
@@ -79,6 +81,7 @@ def _inapplicable(strategy: str, reason: str) -> SolveOutcome:
 
 
 _P6 = path_graph(6)
+_C6 = cycle_graph(6)
 
 
 class GraphFacts:
@@ -123,8 +126,6 @@ def _facts(g: Graph | GraphFacts) -> GraphFacts:
 
 def pendant_cut(g: Graph) -> Colouring | None:
     """Colouring that splits off the first degree-1 vertex, if any."""
-    if g.n < 2:
-        return None
     for v in range(g.n):
         if g.degree(v) == 1:
             return Colouring(g.n, frozenset([v]))
@@ -276,26 +277,6 @@ class DominatingStructure:
     part_b: frozenset[int] = frozenset()
 
 
-def _induced_c6_order(g: Graph, combo) -> tuple[int, ...] | None:
-    inside = [w for w in combo]
-    deg = {}
-    edge_count = 0
-    for v in inside:
-        nb = [w for w in g.adj[v] if w in combo]
-        if len(nb) != 2:
-            return None
-        deg[v] = nb
-        edge_count += 2
-    if edge_count != 12:
-        return None
-    start = inside[0]
-    order = [start, min(deg[start])]
-    while len(order) < 6:
-        a, b = deg[order[-1]]
-        order.append(a if a != order[-2] else b)
-    return tuple(order) if g.has_edge(order[-1], start) and len(set(order)) == 6 else None
-
-
 def _grow_biclique(g: Graph, u: int, v: int) -> tuple[set[int], set[int]]:
     a = {u}
     b = {v}
@@ -320,30 +301,28 @@ _EXHAUSTIVE_CAP = 10
 def find_dominating_structure_p6free(g: Graph | GraphFacts) -> DominatingStructure:
     """Dominating induced C6 or dominating complete bipartite subgraph.
 
-    Search order: induced 6-cycles over ascending 6-subsets, then greedy
-    biclique growth from every ordered edge, then per-vertex stars, then
-    an exhaustive sweep over part pairs up to `_EXHAUSTIVE_CAP` total
-    vertices. On P6-free connected input one of these must exist;
-    exhausting the search anyway raises StructureSearchError.
+    Search order: the dominating induced 6-cycle with the least vertex
+    set, listed from its least vertex towards the smaller of that vertex's
+    cycle neighbours; then greedy biclique growth from every ordered edge,
+    then per-vertex stars, then an exhaustive sweep over part pairs up to
+    `_EXHAUSTIVE_CAP` total vertices. On P6-free connected input one of
+    these must exist; exhausting the search anyway raises
+    StructureSearchError.
     """
     facts = _facts(g)
     g = facts.connected_graph()
     if facts.witness(_P6) is not None:
         raise ValueError("graph contains an induced six-vertex path")
-    for combo in itertools.combinations(range(g.n), 6):
-        if not is_dominating(g, combo):
-            continue
-        order = _induced_c6_order(g, frozenset(combo))
-        if order is not None:
-            return DominatingStructure("cycle6", cycle=order)
-    seen: set[tuple] = set()
+    cycle = min(
+        (c for c in induced_copies(g, _C6) if is_dominating(g, c)),
+        key=lambda c: (sorted(c), c),
+        default=None,
+    )
+    if cycle is not None:
+        return DominatingStructure("cycle6", cycle=cycle)
     for u, v in g.edges:
         for s, t in ((u, v), (v, u)):
             a, b = _grow_biclique(g, s, t)
-            key = (frozenset(a), frozenset(b))
-            if key in seen:
-                continue
-            seen.add(key)
             if is_dominating(g, a | b):
                 return DominatingStructure("biclique", part_a=frozenset(a), part_b=frozenset(b))
     for u in range(g.n):

@@ -90,17 +90,22 @@ def girth_blowup(g: Graph, pattern: Graph) -> tuple[Graph, int]:
     return out, rounds
 
 
-def random_gnp(n: int, p: float, seed: int = 0, attempts: int = 300) -> Graph:
+# Samples drawn before the rejection samplers below give up.
+_GNP_ATTEMPTS = 300
+_PATTERN_FREE_ATTEMPTS = 500
+
+
+def random_gnp(n: int, p: float, seed: int = 0) -> Graph:
     """Connected uniform random graph by rejection; deterministic in seed."""
     if n < 1:
         raise ValueError("n must be positive")
     rng = random.Random(seed)
-    for _ in range(attempts):
+    for _ in range(_GNP_ATTEMPTS):
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
         g = Graph(n, edges)
         if is_connected(g):
             return g
-    raise ValueError(f"no connected sample within {attempts} attempts at p={p}")
+    raise ValueError(f"no connected sample within {_GNP_ATTEMPTS} attempts at p={p}")
 
 
 def random_radius2(n: int, extra_p: float = 0.15, seed: int = 0) -> Graph:
@@ -125,16 +130,14 @@ def random_radius2(n: int, extra_p: float = 0.15, seed: int = 0) -> Graph:
     return Graph(n, sorted(edges))
 
 
-def random_pattern_free(
-    n: int, p: float, pattern: Graph, seed: int = 0, attempts: int = 500
-) -> Graph:
+def random_pattern_free(n: int, p: float, pattern: Graph, seed: int = 0) -> Graph:
     """Connected random graph with no induced copy of `pattern`."""
     rng = random.Random(seed)
-    for _ in range(attempts):
+    for _ in range(_PATTERN_FREE_ATTEMPTS):
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
         g = Graph(n, edges)
         if is_connected(g) and not contains_induced(g, pattern):
             return g
     raise ValueError(
-        f"no connected pattern-free sample within {attempts} attempts at p={p}"
+        f"no connected pattern-free sample within {_PATTERN_FREE_ATTEMPTS} attempts at p={p}"
     )

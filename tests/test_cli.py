@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -270,6 +271,22 @@ def test_facts_are_computed_only_where_used(capsys, monkeypatch, fig1_path):
         assert run_cli(capsys, *argv)[0] == 0, argv
     monkeypatch.setattr(matchcut.strategies, "is_connected", _refuse)
     assert run_cli(capsys, *transform)[0] == 0
+
+
+@pytest.mark.parametrize("command", [["solve", "--quiet"], ["verify", "--cut", "3-7"]], ids=lambda c: c[0])
+def test_closed_stdout_is_one_error_line(fig1_path, command):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the report is written
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "matchcut.cli", command[0], fig1_path, *command[1:]],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Exception ignored" not in proc.stderr
 
 
 def test_version_flag(capsys):

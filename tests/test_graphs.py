@@ -28,6 +28,7 @@ from matchcut import (
     pattern_from_name,
     star_graph,
 )
+from matchcut.graphs import induced_copies
 from .helpers import random_connected_graph
 
 
@@ -164,6 +165,28 @@ class TestInducedSubgraph:
             for sub in itertools.permutations(range(n), k)
         )
         assert contains_induced(host, pattern) == naive
+
+    def test_copies_of_c6_in_c6(self):
+        copies = list(induced_copies(cycle_graph(6), cycle_graph(6)))
+        assert len(copies) == 12  # six rotations times two directions
+        assert copies == sorted(set(copies))
+        assert copies[0] == find_induced(cycle_graph(6), cycle_graph(6))
+
+    def test_no_copies_of_p3_in_a_triangle(self):
+        assert list(induced_copies(complete_graph(3), path_graph(3))) == []
+
+    @given(st.integers(4, 7), st.sampled_from(["P3", "P4", "C4", "K1,3", "2P2"]), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_copies_match_permutation_enumeration(self, n, name, rnd):
+        host = random_connected_graph(n, rnd)
+        pattern = pattern_from_name(name)
+        k = pattern.n
+        naive = [
+            sub for sub in itertools.permutations(range(n), k)
+            if all(host.has_edge(sub[i], sub[j]) == pattern.has_edge(i, j)
+                   for i, j in itertools.combinations(range(k), 2))
+        ]
+        assert list(induced_copies(host, pattern)) == naive
 
 
 class TestDomination:

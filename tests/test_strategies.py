@@ -21,9 +21,11 @@ from matchcut import (
     find_dominating_set,
     find_dominating_structure_p6free,
     has_matching_cut_bruteforce,
+    is_dominating,
     is_matching_cut,
     is_valid_colouring,
     lift_h_plus_p3,
+    load_edge_file,
     path_graph,
     pattern_from_name,
     pendant_cut,
@@ -37,8 +39,9 @@ from matchcut import (
     solve_with_dominating_set,
     star_graph,
 )
+from matchcut.graphs import induced_copies
 from .helpers import all_connected_graphs, random_connected_graph
-from .test_golden import seeded_graph
+from .test_golden import ROOT, seeded_graph
 
 
 def wheel5() -> Graph:
@@ -193,6 +196,24 @@ class TestDominatingStructure:
     def test_rejects_long_paths(self):
         with pytest.raises(ValueError):
             find_dominating_structure_p6free(path_graph(6))
+
+    def test_least_dominating_c6_of_two(self):
+        g, labels = load_edge_file(str(ROOT / "fixtures" / "two-c6.edges"))
+        assert labels == tuple(range(8))
+        structure = find_dominating_structure_p6free(g)
+        assert structure.kind == "cycle6"
+        assert structure.cycle == (0, 1, 6, 4, 2, 3)
+        # the first dominating copy the search meets is another 6-set
+        first = next(c for c in induced_copies(g, cycle_graph(6)) if is_dominating(g, c))
+        assert first == (0, 1, 5, 4, 7, 3)
+
+    def test_biclique_without_a_c6_scan(self, monkeypatch):
+        calls = []
+        check = matchcut.strategies.is_dominating
+        monkeypatch.setattr(matchcut.strategies, "is_dominating", lambda *a: calls.append(a) or check(*a))
+        structure = find_dominating_structure_p6free(complete_bipartite(11, 11))
+        assert len(calls) < 10
+        assert {structure.part_a, structure.part_b} == {frozenset(range(11)), frozenset(range(11, 22))}
 
 
 class TestP6Free:
