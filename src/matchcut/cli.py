@@ -27,11 +27,12 @@ from .graphs import (
     pattern_from_name,
     star_graph,
 )
+from .oracle import DEFAULT_BOUND, has_matching_cut_bruteforce
 from .redblue import Colouring, bichromatic_edges, colouring_from_cut, is_matching_cut
 from .strategies import (
+    BRANCH_BUDGET,
     STAGES,
     GraphFacts,
-    SolveConfig,
     find_dominating_structure_p6free,
     run_strategy,
     solve,
@@ -54,7 +55,7 @@ def _load(path: str) -> tuple[Graph, tuple[int, ...]]:
         return load_edge_file(path)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror}") from exc
-    except GraphFormatError as exc:
+    except (GraphFormatError, UnicodeDecodeError) as exc:
         raise CliError(f"{path}: {exc}") from exc
 
 
@@ -85,16 +86,10 @@ def _emit(report: dict, args) -> None:
 
 
 def _cmd_solve(args, facts: GraphFacts, labels) -> tuple[dict, int]:
-    """`solve`, and `oracle`, which is `solve --strategy oracle`."""
-    config = SolveConfig(
-        oracle_bound=args.oracle_bound,
-        domination_bound=args.domination_bound,
-        branch_budget=args.branch_budget,
-    )
     if args.strategy == "auto":
-        outcome = solve(facts, config)
+        outcome = solve(facts, args.branch_budget)
     else:
-        outcome = run_strategy(facts, args.strategy, config)
+        outcome = run_strategy(facts, args.strategy, args.branch_budget)
     fields = {
         "outcome": outcome.answer,
         "strategy": outcome.strategy,
@@ -106,6 +101,18 @@ def _cmd_solve(args, facts: GraphFacts, labels) -> tuple[dict, int]:
     elif outcome.reason:
         fields["reason"] = outcome.reason
     return fields, 2 if outcome.answer == "inapplicable" else 0
+
+
+def _cmd_oracle(args, facts: GraphFacts, labels) -> tuple[dict, int]:
+    """The exhaustive bipartition search alone, which `solve` never runs."""
+    g = facts.connected_graph()
+    cut = has_matching_cut_bruteforce(g, args.bound)
+    fields = {"outcome": "no", "strategy": "oracle", "trace": {}, "certificate": None}
+    if cut is None:
+        fields["reason"] = "exhaustive bipartition search"
+    else:
+        fields.update(outcome="yes", certificate=_certificate(g, colouring_from_cut(g, cut), labels))
+    return fields, 0
 
 
 def _cmd_analyze(args, facts: GraphFacts, labels) -> tuple[dict, int]:
@@ -264,22 +271,15 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         choices=["auto", *STAGES],
     )
-    p.add_argument("--oracle-bound", type=int, default=SolveConfig.oracle_bound)
-    p.add_argument("--domination-bound", type=int, default=SolveConfig.domination_bound)
-    p.add_argument("--branch-budget", type=int, default=SolveConfig.branch_budget)
+    p.add_argument("--branch-budget", type=int, default=BRANCH_BUDGET)
     common(p)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("oracle", help="exhaustive bipartition search")
     p.add_argument("path")
-    p.add_argument("--bound", dest="oracle_bound", metavar="BOUND", type=int, default=SolveConfig.oracle_bound)
+    p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
     common(p)
-    p.set_defaults(
-        func=_cmd_solve,
-        strategy="oracle",
-        domination_bound=SolveConfig.domination_bound,
-        branch_budget=SolveConfig.branch_budget,
-    )
+    p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("analyze", help="report metrics and detected classes")
     p.add_argument("path")
@@ -316,8 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "domination_bound", 1) < 1:
-            raise CliError("--domination-bound must be at least 1")
         started = time.perf_counter()
         report = {"schema": 2, "command": args.command}
         if "path" in args:

@@ -215,23 +215,6 @@ def is_dominating(g: Graph, d) -> bool:
     return True
 
 
-def find_dominating_set(g: Graph, max_size: int) -> frozenset[int] | None:
-    """Smallest dominating set of size <= max_size, or None.
-
-    Exhaustive search; ties broken lexicographically (first combination in
-    ascending order wins). A set of k vertices dominates at most
-    k * (max degree + 1) of them, so smaller sizes are not searched.
-    """
-    if max_size < 1:
-        raise ValueError("max_size must be at least 1")
-    reach = max((g.degree(v) for v in range(g.n)), default=0) + 1
-    for size in range(max(1, -(-g.n // reach)), min(max_size, g.n) + 1):
-        for combo in itertools.combinations(range(g.n), size):
-            if is_dominating(g, combo):
-                return frozenset(combo)
-    return None
-
-
 def girth(g: Graph) -> int | None:
     """Length of a shortest cycle, or None for acyclic graphs."""
     best = None

@@ -15,6 +15,7 @@ from .graphs import (
     DistanceProfile,
     Graph,
     NotConnectedError,
+    bits,
     connected_components,
     cycle_graph,
     disjoint_union,
@@ -23,12 +24,10 @@ from .graphs import (
     induced_copies,
     is_connected,
     is_dominating,
-    find_dominating_set,
     path_graph,
     pattern_from_name,
 )
 from .finisher import decide_monochromatic_extension
-from .oracle import DEFAULT_BOUND, OracleBoundError, has_matching_cut_bruteforce
 from .propagation import make_pair, propagate
 from .redblue import (
     Colouring,
@@ -41,18 +40,15 @@ from .redblue import (
 
 
 class BranchBudgetError(RuntimeError):
-    """The branching strategy exceeded its configured option budget."""
+    """A branching strategy exceeded its budget of options or search nodes."""
 
 
 class StructureSearchError(RuntimeError):
     """A structure guaranteed to exist on this input class was not found."""
 
 
-@dataclass(frozen=True)
-class SolveConfig:
-    oracle_bound: int = DEFAULT_BOUND
-    domination_bound: int = 4
-    branch_budget: int = 2_000_000
+# Caps both the lift's branch options and the backstop's search nodes.
+BRANCH_BUDGET = 20_000
 
 
 @dataclass
@@ -313,11 +309,15 @@ def find_dominating_structure_p6free(g: Graph | GraphFacts) -> DominatingStructu
     g = facts.connected_graph()
     if facts.witness(_P6) is not None:
         raise ValueError("graph contains an induced six-vertex path")
-    cycle = min(
-        (c for c in induced_copies(g, _C6) if is_dominating(g, c)),
-        key=lambda c: (sorted(c), c),
-        default=None,
-    )
+    # One embedding per 6-set is checked; copies come in ascending order, so
+    # none starting past the best cycle's least vertex can beat it.
+    cycle = None
+    for c in induced_copies(g, _C6):
+        if cycle is not None and c[0] > cycle[0]:
+            break
+        if c[0] == min(c) and c[1] < c[5] and (cycle is None or sorted(c) < sorted(cycle)):
+            if is_dominating(g, c):
+                cycle = c
     if cycle is not None:
         return DominatingStructure("cycle6", cycle=cycle)
     for u, v in g.edges:
@@ -393,7 +393,7 @@ def lift_h_plus_p3(
     g: Graph | GraphFacts,
     h: Graph,
     subsolver,
-    config: SolveConfig | None = None,
+    branch_budget: int = BRANCH_BUDGET,
     strategy: str = "lift",
 ) -> SolveOutcome:
     """Exact decision for (h + P3)-free graphs, given a subsolver exact on
@@ -408,7 +408,6 @@ def lift_h_plus_p3(
     generalized starting pair and ends in the 2-SAT finisher. `subsolver`
     is called with the GraphFacts of `g`.
     """
-    config = config or SolveConfig()
     facts = _facts(g)
     g = facts.connected_graph()
     if facts.witness(disjoint_union(h, path_graph(3))) is not None:
@@ -440,10 +439,8 @@ def lift_h_plus_p3(
             trace["copy_colourings"] += 1
             for region in _extend_dominating(g, copy, 0, assign):
                 trace["options"] += 1
-                if trace["options"] > config.branch_budget:
-                    raise BranchBudgetError(
-                        f"more than {config.branch_budget} branch options"
-                    )
+                if trace["options"] > branch_budget:
+                    raise BranchBudgetError(f"more than {branch_budget} branch options")
                 if not _locally_valid(g, region):
                     continue
                 s_prime = {w for w, b in region.items() if not b}
@@ -459,52 +456,98 @@ def lift_h_plus_p3(
     return _no(strategy, "every seed around the pattern copy is refuted", trace)
 
 
-def solve_sp3_p6(g: Graph | GraphFacts, s: int, config: SolveConfig | None = None) -> SolveOutcome:
+def solve_sp3_p6(g: Graph | GraphFacts, s: int, branch_budget: int = BRANCH_BUDGET) -> SolveOutcome:
     """Exact decision for (sP3 + P6)-free graphs, by peeling one P3 at a
     time down to the P6-free base case."""
     if s < 0:
         raise ValueError("s must be non-negative")
-    config = config or SolveConfig()
     if s == 0:
         return solve_p6_free(g)
     h = pattern_from_name("P6") if s == 1 else pattern_from_name(f"{s - 1}P3+P6")
     return lift_h_plus_p3(
         g,
         h,
-        lambda sub: solve_sp3_p6(sub, s - 1, config),
-        config,
+        lambda sub: solve_sp3_p6(sub, s - 1, branch_budget),
+        branch_budget,
         strategy=f"sp3p6(s={s})",
     )
 
 
-def _degree1(facts: GraphFacts, config: SolveConfig) -> SolveOutcome:
+def solve_backstop(g: Graph | GraphFacts, branch_budget: int = BRANCH_BUDGET) -> SolveOutcome:
+    """Exact decision for every connected graph by branching with
+    propagation; past `branch_budget` search nodes it raises
+    BranchBudgetError (Matching Cut is NP-complete at maximum degree 4).
+
+    For each edge uv in turn, a depth-first search seeks a valid colouring
+    with u red and v blue (swapping colours covers the reverse), closing
+    each partial colouring under three rules: an uncoloured vertex with two
+    neighbours of one colour takes that colour; a coloured vertex with one
+    opposite-coloured neighbour gives its colour to its other neighbours;
+    the ends of an edge refuted earlier share a colour. It branches on the
+    uncoloured vertex with the most coloured neighbours (lowest id on
+    ties), red first. Once every edge is refuted, every valid colouring of
+    the connected graph has one colour: there is no matching cut.
+    """
+    g = _facts(g).connected_graph()
+    adj = g.adj_bits
+    full = (1 << g.n) - 1
+    tied = [0] * g.n  # tied[v]: v's partners in refuted edges, as a mask
+    nodes = 0
+
+    def close(col: list[int], due: list[int]) -> bool:
+        # col[c] and due[c]: the vertices that have and that must take
+        # colour c (0 red, 1 blue); False when the closure conflicts
+        while due[0] | due[1]:
+            c = 0 if due[0] else 1
+            bit = due[c] & -due[c]
+            due[c] ^= bit
+            w = bit.bit_length() - 1
+            opposite = adj[w] & col[1 - c]
+            if col[1 - c] & bit or opposite & (opposite - 1):
+                return False
+            col[c] |= bit
+            mine, theirs = col[c], col[1 - c]
+            due[c] |= (tied[w] | (adj[w] ^ opposite if opposite else 0)) & ~mine
+            for x in bits(adj[w] & ~mine):
+                seen = adj[x] & mine
+                if theirs >> x & 1:  # w is an opposite neighbour of x
+                    if seen & (seen - 1):
+                        return False
+                    due[1 - c] |= adj[x] & ~mine & ~theirs
+                elif seen & (seen - 1):
+                    due[c] |= 1 << x
+        return True
+
+    for u, v in g.edges:
+        stack = [([0, 0], [1 << u, 1 << v])]
+        while stack:
+            col, due = stack.pop()
+            nodes += 1
+            if nodes > branch_budget:
+                raise BranchBudgetError(f"more than {branch_budget} backstop nodes")
+            if not close(col, due):
+                continue
+            done = col[0] | col[1]
+            if done == full:
+                return _yes(g, Colouring(g.n, frozenset(bits(col[1]))), "backstop", {"nodes": nodes})
+            w = max(bits(full ^ done), key=lambda x: ((adj[x] & done).bit_count(), -x))
+            stack += [(col[:], [0, 1 << w]), (col[:], [1 << w, 0])]  # red first
+        tied[u] |= 1 << v
+        tied[v] |= 1 << u
+    return _no("backstop", "every edge is refuted as a cut edge", {"nodes": nodes})
+
+
+def _degree1(facts: GraphFacts, branch_budget: int) -> SolveOutcome:
     colouring = pendant_cut(facts.graph)
     if colouring is None:
         return _inapplicable("degree1", "no degree-1 vertex")
     return _yes(facts.graph, colouring, "degree1")
 
 
-def _smallcut(facts: GraphFacts, config: SolveConfig) -> SolveOutcome:
+def _smallcut(facts: GraphFacts, branch_budget: int) -> SolveOutcome:
     if facts.small_cut is None:
         return _inapplicable("smallcut", "no matching cut of size at most 2")
     return _yes(facts.graph, colouring_from_cut(facts.graph, facts.small_cut), "smallcut")
-
-
-def _domination(facts: GraphFacts, config: SolveConfig) -> SolveOutcome:
-    dom = find_dominating_set(facts.graph, config.domination_bound)
-    if dom is None:
-        return _inapplicable(
-            "domination",
-            f"no dominating set of size at most {config.domination_bound}",
-        )
-    return solve_with_dominating_set(facts.graph, dom)
-
-
-def _oracle(facts: GraphFacts, config: SolveConfig) -> SolveOutcome:
-    cut = has_matching_cut_bruteforce(facts.graph, config.oracle_bound)
-    if cut is None:
-        return _no("oracle", "exhaustive bipartition search")
-    return _yes(facts.graph, colouring_from_cut(facts.graph, cut), "oracle")
 
 
 # The dispatcher's stages in the order `solve` tries them. The solvers are
@@ -513,46 +556,43 @@ def _oracle(facts: GraphFacts, config: SolveConfig) -> SolveOutcome:
 STAGES = {
     "degree1": _degree1,
     "smallcut": _smallcut,
-    "radius2": lambda facts, config: solve_radius_le2(facts),
-    "p6free": lambda facts, config: solve_p6_free(facts),
-    "sp3p6": lambda facts, config: solve_sp3_p6(facts, 1, config),
-    "domination": _domination,
-    "oracle": _oracle,
+    "radius2": lambda facts, budget: solve_radius_le2(facts),
+    "p6free": lambda facts, budget: solve_p6_free(facts),
+    "sp3p6": lambda facts, budget: solve_sp3_p6(facts, 1, budget),
+    "backstop": lambda facts, budget: solve_backstop(facts, budget),
 }
 
 
-def run_strategy(g: Graph | GraphFacts, name: str, config: SolveConfig | None = None) -> SolveOutcome:
+def run_strategy(g: Graph | GraphFacts, name: str, branch_budget: int = BRANCH_BUDGET) -> SolveOutcome:
     """Run one named stage on its own, without dispatcher fallbacks.
 
     The certificate-only scans (degree1, smallcut) report inapplicable
     rather than "no" when they find nothing, since absence of their
-    certificate does not settle the decision problem. The oracle raises
-    OracleBoundError above its bound, and the sp3p6 lift BranchBudgetError
-    past its budget.
+    certificate does not settle the decision problem. The sp3p6 lift and
+    the backstop raise BranchBudgetError past `branch_budget`.
     """
     facts = _facts(g)
     facts.connected_graph()
     if name not in STAGES:
         raise ValueError(f"unknown strategy {name!r}")
-    return STAGES[name](facts, config or SolveConfig())
+    return STAGES[name](facts, branch_budget)
 
 
-def solve(g: Graph | GraphFacts, config: SolveConfig | None = None) -> SolveOutcome:
+def solve(g: Graph | GraphFacts, branch_budget: int = BRANCH_BUDGET) -> SolveOutcome:
     """Dispatcher: the first decided outcome of the STAGES, in order, with
     its 1-based position as trace["stages"]; inapplicable if none decides.
-    A stage refusing past its bound or budget (the oracle's bound, the
-    lift's branch budget) counts as not deciding."""
-    config = config or SolveConfig()
+    A stage past `branch_budget` (the lift's options, the backstop's
+    nodes) counts as not deciding."""
     facts = _facts(g)
     if facts.graph.n == 0:
         raise NotConnectedError("graph is empty")
     facts.connected_graph()
     for position, stage in enumerate(STAGES.values(), 1):
         try:
-            out = stage(facts, config)
-        except (OracleBoundError, BranchBudgetError):
+            out = stage(facts, branch_budget)
+        except BranchBudgetError:
             continue
         if out.answer != "inapplicable":
             out.trace["stages"] = position
             return out
-    return _inapplicable("dispatch", "no exact strategy applies at this size")
+    return _inapplicable("dispatch", "no exact strategy decides within the branch budget")

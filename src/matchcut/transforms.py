@@ -97,8 +97,8 @@ _PATTERN_FREE_ATTEMPTS = 500
 
 def random_gnp(n: int, p: float, seed: int = 0) -> Graph:
     """Connected uniform random graph by rejection; deterministic in seed."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    if n < 2:
+        raise ValueError("n must be at least 2")
     rng = random.Random(seed)
     for _ in range(_GNP_ATTEMPTS):
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
@@ -132,6 +132,8 @@ def random_radius2(n: int, extra_p: float = 0.15, seed: int = 0) -> Graph:
 
 def random_pattern_free(n: int, p: float, pattern: Graph, seed: int = 0) -> Graph:
     """Connected random graph with no induced copy of `pattern`."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
     rng = random.Random(seed)
     for _ in range(_PATTERN_FREE_ATTEMPTS):
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]

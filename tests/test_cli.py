@@ -64,12 +64,12 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", bad)
         assert code == 1 and "line 2" in err
 
-    def test_domination_bound_below_one_is_an_error(self, capsys, fig1_path):
-        code, out, err = run_cli(
-            capsys, "solve", fig1_path, "--strategy", "domination", "--domination-bound", "0"
-        )
+    def test_undecodable_file_names_the_path(self, capsys, tmp_path):
+        bad = tmp_path / "bad.edges"
+        bad.write_bytes(b"\xff\xfe0 1\n")
+        code, out, err = run_cli(capsys, "solve", str(bad))
         assert code == 1 and out == ""
-        assert err == "error: --domination-bound must be at least 1\n"
+        assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
 
 
 class TestOracle:
@@ -206,6 +206,15 @@ class TestGenerate:
     def test_unknown_family(self, capsys):
         code, _, err = run_cli(capsys, "generate", "Q9")
         assert code == 1 and "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["gnp", "--n", "1"], ["pattern-free", "--n", "0", "--avoid", "P3"]]
+    )
+    def test_graphs_too_small_for_an_edge_file_are_refused(self, capsys, tmp_path, argv):
+        out_file = tmp_path / "gen.edges"
+        code, out, err = run_cli(capsys, "generate", *argv, "--out", str(out_file))
+        assert (code, out, err) == (1, "", "error: n must be at least 2\n")
+        assert not out_file.exists()
 
     @pytest.mark.parametrize("command", [["generate", "C5"], ["transform", "blowup", "{c3}", "--pattern", "C5"]])
     def test_unwritable_out_is_an_error(self, capsys, tmp_path, command):

@@ -27,7 +27,6 @@ from pathlib import Path
 
 from matchcut import (
     Graph,
-    SolveConfig,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -43,14 +42,12 @@ ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).resolve().parent / "data" / "golden.json"
 FIG1 = "fixtures/fig1.edges"
 
-STAGES = ("degree1", "smallcut", "radius2", "p6free", "sp3p6", "domination", "oracle")
+STAGES = ("degree1", "smallcut", "radius2", "p6free", "sp3p6", "backstop")
 
 # Strategies `solve` must end in somewhere in the corpus.
-REQUIRED = (
-    "degree1", "smallcut", "radius2", "p6free", "sp3p6(s=1)", "bounded-domination", "oracle", "dispatch",
-)
+REQUIRED = ("degree1", "smallcut", "radius2", "p6free", "sp3p6(s=1)", "backstop", "dispatch")
 
-# (seed, SolveConfig keyword arguments); the comment names where solve ends.
+# (seed, `solve` keyword arguments); the comment names where solve ends.
 SEEDED = (
     (2, {}),  # degree1
     (72, {}),  # smallcut
@@ -60,11 +57,9 @@ SEEDED = (
     (233874, {}),  # p6free, no
     (637, {}),  # sp3p6(s=1), no
     (1070, {}),  # sp3p6(s=1), yes
-    (963, {}),  # bounded-domination, yes
-    (4216, {}),  # bounded-domination, no
-    (963, {"domination_bound": 1}),  # oracle, yes
-    (4216, {"domination_bound": 1}),  # oracle, no
-    (963, {"domination_bound": 1, "oracle_bound": 10}),  # dispatch
+    (963, {}),  # backstop, yes
+    (4216, {}),  # backstop, no
+    (963, {"branch_budget": 1}),  # dispatch
 )
 
 
@@ -98,13 +93,11 @@ def cli_commands() -> list[list[str]]:
     ]
     commands += [["solve", FIG1, "--strategy", name] for name in STAGES]
     commands += [
-        ["solve", FIG1, "--strategy", "oracle", "--oracle-bound", "10"],
         ["transform", "k22", FIG1, "--edge", "3-7"],
         ["transform", "blowup", FIG1, "--pattern", "C5"],
         ["generate", "K3,3"],
         ["generate", "gnp", "--n", "9", "--seed", "3"],
         ["verify", FIG1, "--cut", "3-99"],
-        ["solve", FIG1, "--domination-bound", "0"],
         ["solve", "fixtures/missing.edges"],
         ["generate", "Q9"],
     ]
@@ -152,7 +145,7 @@ def record() -> dict:
     seeded = []
     for seed, kwargs in SEEDED:
         g = seeded_graph(seed)
-        seeded.append([seed, kwargs, g.n, _edge_text(g), _outcome(lambda: solve(g, SolveConfig(**kwargs)))])
+        seeded.append([seed, kwargs, g.n, _edge_text(g), _outcome(lambda: solve(g, **kwargs))])
     forced = [
         [name, stage, _outcome(lambda: run_strategy(g, stage))]
         for name, g in named_graphs().items()
@@ -188,13 +181,16 @@ def test_seeded_graphs_match_the_recording():
     for seed, kwargs, n, text, want in _golden()["seeded"]:
         assert _edge_text(seeded_graph(seed)) == text
         g = _graph_from(n, text)
-        assert _outcome(lambda: solve(g, SolveConfig(**kwargs))) == want, (seed, kwargs)
+        assert _outcome(lambda: solve(g, **kwargs)) == want, (seed, kwargs)
+
+
+def _endings(data: dict) -> set[str]:
+    """The strategies `solve` ends in over the small and seeded rows."""
+    return {row[2][1] for row in data["small"]} | {row[4][1] for row in data["seeded"]}
 
 
 def test_every_dispatcher_ending_is_covered():
-    golden = _golden()
-    ends = {row[2][1] for row in golden["small"]} | {row[4][1] for row in golden["seeded"]}
-    assert set(REQUIRED) <= ends
+    assert set(REQUIRED) <= _endings(_golden())
 
 
 def test_forced_stages_match_the_recording():
@@ -233,5 +229,9 @@ def test_cli_bytes_match_the_recording_under_python_O():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: python -m tests.test_golden --record")
+    data = record()
+    missing = sorted(set(REQUIRED) - _endings(data))
+    if missing:
+        sys.exit(f"not recorded: solve ends in none of {missing} on the corpus")
     DATA.parent.mkdir(exist_ok=True)
-    DATA.write_text(_dump(record()), encoding="utf-8")
+    DATA.write_text(_dump(data), encoding="utf-8")

@@ -17,7 +17,6 @@ from matchcut import (
     cycle_graph,
     disjoint_union,
     distance_profile,
-    find_dominating_set,
     find_induced,
     format_edge_text,
     girth,
@@ -194,24 +193,6 @@ class TestDomination:
         g = cycle_graph(6)
         assert is_dominating(g, {0, 3})
         assert not is_dominating(g, {0})
-
-    def test_find_dominating_set_respects_bound(self):
-        g = cycle_graph(6)
-        assert find_dominating_set(g, 1) is None
-        d = find_dominating_set(g, 2)
-        assert d is not None and len(d) <= 2 and is_dominating(g, d)
-
-    def test_found_set_is_smallest(self):
-        g = star_graph(4)
-        assert find_dominating_set(g, 3) == frozenset({0})
-
-    def test_sizes_too_small_to_dominate_are_not_searched(self, monkeypatch):
-        # 4 vertices of degree 2 dominate at most 12 of the 40
-        calls = []
-        check = matchcut.graphs.is_dominating
-        monkeypatch.setattr(matchcut.graphs, "is_dominating", lambda g, d: calls.append(d) or check(g, d))
-        assert find_dominating_set(cycle_graph(40), 4) is None
-        assert calls == []
 
 
 class TestCatalog:

@@ -1,3 +1,4 @@
+import itertools
 import subprocess
 import sys
 
@@ -10,7 +11,6 @@ from matchcut import (
     BranchBudgetError,
     Graph,
     NotConnectedError,
-    SolveConfig,
     StructureSearchError,
     complete_bipartite,
     complete_graph,
@@ -18,7 +18,6 @@ from matchcut import (
     cut_from_colouring,
     cycle_graph,
     distance_profile,
-    find_dominating_set,
     find_dominating_structure_p6free,
     has_matching_cut_bruteforce,
     is_dominating,
@@ -32,6 +31,7 @@ from matchcut import (
     run_strategy,
     small_matching_cut,
     solve,
+    solve_backstop,
     solve_monochromatic_dominating,
     solve_p6_free,
     solve_radius_le2,
@@ -40,7 +40,7 @@ from matchcut import (
     star_graph,
 )
 from matchcut.graphs import induced_copies
-from .helpers import all_connected_graphs, random_connected_graph
+from .helpers import all_connected_graphs, has_cut_by_matching_removal, random_connected_graph
 from .test_golden import ROOT, seeded_graph
 
 
@@ -134,7 +134,8 @@ class TestDominationSolvers:
     @settings(max_examples=40, deadline=None)
     def test_agrees_with_oracle_given_any_dominating_set(self, n, rnd):
         g = random_connected_graph(n, rnd)
-        d = find_dominating_set(g, 3)
+        small = (c for k in (1, 2, 3) for c in itertools.combinations(range(n), k))
+        d = next((c for c in small if is_dominating(g, c)), None)
         if d is None:
             return
         out = solve_with_dominating_set(g, d)
@@ -215,6 +216,18 @@ class TestDominatingStructure:
         assert len(calls) < 10
         assert {structure.part_a, structure.part_b} == {frozenset(range(11)), frozenset(range(11, 22))}
 
+    def test_each_c6_is_checked_once(self, monkeypatch):
+        # C6 with each vertex blown up into 4 twins: 4^6 induced 6-cycles,
+        # each met in 12 embeddings, and the first one dominates
+        g = Graph(24, [(4 * i + a, 4 * ((i + 1) % 6) + b)
+                       for i in range(6) for a in range(4) for b in range(4)])
+        calls = []
+        check = matchcut.strategies.is_dominating
+        monkeypatch.setattr(matchcut.strategies, "is_dominating", lambda *a: calls.append(a) or check(*a))
+        structure = find_dominating_structure_p6free(g)
+        assert len(calls) < 10
+        assert structure.cycle == (0, 4, 8, 12, 16, 20)
+
 
 class TestP6Free:
     def test_c6_yes(self):
@@ -264,7 +277,7 @@ class TestLift:
 
     def test_branch_budget_is_enforced(self):
         with pytest.raises(BranchBudgetError):
-            lift_h_plus_p3(wheel5(), path_graph(3), solve, SolveConfig(branch_budget=1))
+            lift_h_plus_p3(wheel5(), path_graph(3), solve, branch_budget=1)
 
     def test_wheel_has_no_cut(self):
         out = lift_h_plus_p3(wheel5(), path_graph(3), solve)
@@ -278,6 +291,36 @@ class TestLift:
             return
         out = solve_sp3_p6(g, 1)
         assert (out.answer == "yes") == (has_matching_cut_bruteforce(g) is not None)
+
+
+class TestBackstop:
+    def test_exhaustive_small_graphs(self):
+        for n in range(1, 7):
+            for g in all_connected_graphs(n):
+                out = run_strategy(g, "backstop")
+                assert (out.answer == "yes") == (has_matching_cut_bruteforce(g) is not None), g.edges
+                if out.answer == "yes":
+                    _check_yes(g, out)
+
+    @given(st.integers(7, 15), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_both_oracles(self, n, rnd):
+        # a random spanning tree plus up to 2n more edges: sparse enough
+        # that the search branches and the matching enumeration stays fast
+        edges = {(rnd.randrange(v), v) for v in range(1, n)}
+        for _ in range(rnd.randint(0, 2 * n)):
+            a, b = sorted(rnd.sample(range(n), 2))
+            edges.add((a, b))
+        g = Graph(n, edges)
+        out = solve_backstop(g)
+        assert (out.answer == "yes") == has_cut_by_matching_removal(g)
+        assert (out.answer == "yes") == (has_matching_cut_bruteforce(g) is not None)
+        if out.answer == "yes":
+            _check_yes(g, out)
+
+    def test_long_cycle_needs_no_recursion(self):
+        g = cycle_graph(1500)
+        _check_yes(g, solve_backstop(g))
 
 
 class TestDispatcher:
@@ -302,14 +345,16 @@ class TestDispatcher:
         assert out.trace.get("stages")
 
     def test_fall_through_when_everything_is_barred(self):
-        out = solve(dodecahedron(), SolveConfig(oracle_bound=10))
+        with pytest.raises(BranchBudgetError):
+            run_strategy(dodecahedron(), "backstop", branch_budget=1)
+        out = solve(dodecahedron(), branch_budget=1)
         assert out.answer == "inapplicable"
         assert out.strategy == "dispatch"
 
     def test_oracle_backstop_decides_the_dodecahedron(self):
         out = solve(dodecahedron())
-        assert out.strategy == "oracle"
-        assert out.answer in ("yes", "no")
+        assert out.strategy == "backstop"
+        _check_yes(dodecahedron(), out)
 
     def test_disconnected_raises(self):
         with pytest.raises(NotConnectedError):
@@ -318,11 +363,11 @@ class TestDispatcher:
     @pytest.mark.parametrize("seed", [637, 1070])
     def test_lift_past_its_budget_passes_on(self, seed):
         g = seeded_graph(seed)
-        config = SolveConfig(branch_budget=1)
+        budget = run_strategy(g, "backstop").trace["nodes"]
         with pytest.raises(BranchBudgetError):
-            run_strategy(g, "sp3p6", config)
-        out = solve(g, config)
-        assert out.strategy == "bounded-domination"
+            run_strategy(g, "sp3p6", budget)
+        out = solve(g, budget)
+        assert out.strategy == "backstop"
         assert (out.answer == "yes") == (has_matching_cut_bruteforce(g) is not None)
         if out.answer == "yes":
             _check_yes(g, out)
@@ -364,8 +409,8 @@ class TestRunStrategy:
         assert run_strategy(star_graph(3), "radius2").answer == "yes"
         assert run_strategy(cycle_graph(6), "p6free").answer == "yes"
         assert run_strategy(cycle_graph(7), "sp3p6").answer == "yes"
-        assert run_strategy(cycle_graph(6), "domination").answer == "yes"
-        assert run_strategy(complete_graph(4), "oracle").answer == "no"
+        assert run_strategy(cycle_graph(6), "backstop").answer == "yes"
+        assert run_strategy(complete_graph(4), "backstop").answer == "no"
 
     def test_forced_radius2_on_wide_graph(self, fig1):
         g, _ = fig1
