@@ -252,8 +252,16 @@ def _cmd_generate(args) -> tuple[dict, int]:
     return {"family": name, "seed": args.seed, "output": _graph_payload(g, args.out)}, 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error like every other error: one line, exit code 1.
+    The subcommand parsers inherit this."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="matchcut",
         description="Decide whether a connected graph has a matching cut.",
     )
@@ -316,6 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "branch_budget", 1) < 1:
+            raise CliError("--branch-budget must be at least 1")
         started = time.perf_counter()
         report = {"schema": 2, "command": args.command}
         if "path" in args:

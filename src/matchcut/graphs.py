@@ -2,8 +2,9 @@
 
 Vertices are dense integers 0..n-1. Adjacency is kept twice: as sorted
 tuples for iteration and as bitmasks for the enumeration-heavy callers
-(the oracle and the propagation engine). Everything here is pure; Graph
-values are immutable and hashable.
+(the oracle, the propagation engine with the backstop that runs it, and
+`induced_copies`). Everything here is pure; Graph values are immutable
+and hashable.
 """
 
 from __future__ import annotations

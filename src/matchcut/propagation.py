@@ -1,9 +1,10 @@
-"""Starting pairs and the three-rule forcing engine.
+"""Starting pairs and the forcing engine.
 
-Seeding a red interface set against a blue one and exhausting the rules
-either refutes the seed (no valid colouring extends it) or yields a
-4-tuple (S, T, X, Y): S/T are the forced interface sides, X/Y the forced
-red/blue sides, and only the residual Z = V - (X u Y) stays undecided.
+`close_colouring` is the one rule engine: `propagate` and the backstop
+both run it. Seeding a red set against a blue one and closing either
+refutes the seed (no valid colouring extends it) or yields a 4-tuple
+(S, T, X, Y): X/Y are the forced red/blue sides, S ⊆ X and T ⊆ Y the
+interfaces, and only the residual Z = V - (X u Y) stays undecided.
 """
 
 from __future__ import annotations
@@ -78,75 +79,66 @@ def make_pair(g: Graph, s_prime, t_prime) -> StartingPair:
     return StartingPair(s_set, t_set, frozenset(s_core), frozenset(t_core))
 
 
-def propagate(g: Graph, pair: StartingPair) -> FourTuple | None:
-    """Exhaust the forcing rules; None is the refusal ("no-answer") result.
+def close_colouring(
+    adj: tuple[int, ...], col: list[int], due: list[int], tied: list[int] | None = None
+) -> bool:
+    """Close a partial red/blue colouring in place under the forcing rules.
 
-    Starting from S = s_core, X = s_prime, T = t_core, Y = t_prime, scan
-    the unplaced vertices in ascending id order until a full pass makes no
-    move. For each unplaced v (N = its neighbourhood):
-
-    * refuse if N meets S and T, or N meets S plus two of Y-T, or N meets
-      T plus two of X-S, or N has two of X-S and two of Y-T (v would need
-      two opposite-coloured neighbours either way);
-    * if N meets S or has two vertices of X-S, move v to X; when v also
-      has exactly one neighbour w in Y, record the interface pair (v into
-      S, w into T);
-    * symmetrically for T / Y-T moves into Y.
-
-    A refusal, or a final tuple that fails the partner-consistency check,
-    certifies that no valid colouring extends the pair.
+    `adj` is `Graph.adj_bits`; `col[c]` and `due[c]` are the masks of the
+    vertices that have and that must take colour c (0 red, 1 blue). Rules:
+    an uncoloured vertex with two neighbours of one colour takes that
+    colour; a coloured vertex with one opposite-coloured neighbour gives
+    its colour to its other neighbours; the vertices of `tied[w]` share
+    w's colour. False on a conflict: a vertex due both colours, or a
+    vertex with two opposite-coloured neighbours.
     """
-    n = g.n
+    if tied is None:
+        tied = [0] * len(adj)
+    while due[0] | due[1]:
+        c = 0 if due[0] else 1
+        bit = due[c] & -due[c]
+        due[c] ^= bit
+        w = bit.bit_length() - 1
+        opposite = adj[w] & col[1 - c]
+        if col[1 - c] & bit or opposite & (opposite - 1):
+            return False
+        col[c] |= bit
+        mine, theirs = col[c], col[1 - c]
+        due[c] |= (tied[w] | (adj[w] ^ opposite if opposite else 0)) & ~mine
+        for x in bits(adj[w] & ~mine):
+            seen = adj[x] & mine
+            if theirs >> x & 1:  # w is an opposite neighbour of x
+                if seen & (seen - 1):
+                    return False
+                due[1 - c] |= adj[x] & ~mine & ~theirs
+            elif seen & (seen - 1):
+                due[c] |= 1 << x
+    return True
+
+
+def propagate(g: Graph, pair: StartingPair) -> FourTuple | None:
+    """Close from `s_prime` red and `t_prime` blue; None is the refusal
+    ("no-answer") result, which certifies that no valid colouring extends
+    the pair. Otherwise X/Y are the forced red/blue sides and the
+    interfaces are S = X n N(Y), T = Y n N(X).
+    """
     adj = g.adj_bits
-    full = (1 << n) - 1
-    S = mask_of(pair.s_core)
-    X = mask_of(pair.s_prime)
-    T = mask_of(pair.t_core)
-    Y = mask_of(pair.t_prime)
-    assert X & Y == 0
-    moves = 0
-    while True:
-        progressed = False
-        for v in bits(full & ~X & ~Y):
-            nb = adj[v]
-            in_s = nb & S
-            in_t = nb & T
-            xs = (nb & X & ~S).bit_count()
-            ys = (nb & Y & ~T).bit_count()
-            if (in_s and in_t) or (in_s and ys >= 2) or (in_t and xs >= 2) or (xs >= 2 and ys >= 2):
-                return None
-            if in_s or xs >= 2:
-                X |= 1 << v
-                yn = nb & Y
-                if yn.bit_count() == 1:
-                    S |= 1 << v
-                    T |= yn
-                moves += 1
-                progressed = True
-            elif in_t or ys >= 2:
-                Y |= 1 << v
-                xn = nb & X
-                if xn.bit_count() == 1:
-                    T |= 1 << v
-                    S |= xn
-                moves += 1
-                progressed = True
-        if not progressed:
-            break
-    assert moves <= n
-    if not _consistent(g, S, T, X, Y):
+    col = [0, 0]
+    if not close_colouring(adj, col, [mask_of(pair.s_prime), mask_of(pair.t_prime)]):
         return None
-    four = FourTuple(
-        frozenset(bits(S)), frozenset(bits(T)), frozenset(bits(X)), frozenset(bits(Y))
-    )
-    return four
+    X, Y = col
+    S = T = 0
+    for v in bits(Y):
+        S |= adj[v] & X
+    for v in bits(X):
+        T |= adj[v] & Y
+    return FourTuple(*(frozenset(bits(mask)) for mask in (S, T, X, Y)))
 
 
 def _consistent(g: Graph, S: int, T: int, X: int, Y: int) -> bool:
     # Every interface vertex has exactly one placed opposite neighbour (its
     # partner, on the opposite interface); non-interface placed vertices
-    # have none. Rule exhaustion should guarantee this; the check is the
-    # final gate turning a contradictory tuple into a refusal.
+    # have none.
     adj = g.adj_bits
     for v in bits(S):
         yn = adj[v] & Y

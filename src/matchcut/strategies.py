@@ -28,7 +28,7 @@ from .graphs import (
     pattern_from_name,
 )
 from .finisher import decide_monochromatic_extension
-from .propagation import make_pair, propagate
+from .propagation import close_colouring, make_pair, propagate
 from .redblue import (
     Colouring,
     MatchingCut,
@@ -96,7 +96,9 @@ class GraphFacts:
         return is_connected(self.graph)
 
     def connected_graph(self) -> Graph:
-        """The graph; NotConnectedError when it is not connected."""
+        """The graph; NotConnectedError when it is empty or not connected."""
+        if self.graph.n == 0:
+            raise NotConnectedError("graph is empty")
         if not self.connected:
             raise NotConnectedError("graph not connected")
         return self.graph
@@ -480,43 +482,17 @@ def solve_backstop(g: Graph | GraphFacts, branch_budget: int = BRANCH_BUDGET) ->
 
     For each edge uv in turn, a depth-first search seeks a valid colouring
     with u red and v blue (swapping colours covers the reverse), closing
-    each partial colouring under three rules: an uncoloured vertex with two
-    neighbours of one colour takes that colour; a coloured vertex with one
-    opposite-coloured neighbour gives its colour to its other neighbours;
-    the ends of an edge refuted earlier share a colour. It branches on the
-    uncoloured vertex with the most coloured neighbours (lowest id on
-    ties), red first. Once every edge is refuted, every valid colouring of
-    the connected graph has one colour: there is no matching cut.
+    each partial colouring with `close_colouring`, where the ends of an
+    edge refuted earlier share a colour. It branches on the uncoloured
+    vertex with the most coloured neighbours (lowest id on ties), red
+    first. Once every edge is refuted, every valid colouring of the
+    connected graph has one colour: there is no matching cut.
     """
     g = _facts(g).connected_graph()
     adj = g.adj_bits
     full = (1 << g.n) - 1
     tied = [0] * g.n  # tied[v]: v's partners in refuted edges, as a mask
     nodes = 0
-
-    def close(col: list[int], due: list[int]) -> bool:
-        # col[c] and due[c]: the vertices that have and that must take
-        # colour c (0 red, 1 blue); False when the closure conflicts
-        while due[0] | due[1]:
-            c = 0 if due[0] else 1
-            bit = due[c] & -due[c]
-            due[c] ^= bit
-            w = bit.bit_length() - 1
-            opposite = adj[w] & col[1 - c]
-            if col[1 - c] & bit or opposite & (opposite - 1):
-                return False
-            col[c] |= bit
-            mine, theirs = col[c], col[1 - c]
-            due[c] |= (tied[w] | (adj[w] ^ opposite if opposite else 0)) & ~mine
-            for x in bits(adj[w] & ~mine):
-                seen = adj[x] & mine
-                if theirs >> x & 1:  # w is an opposite neighbour of x
-                    if seen & (seen - 1):
-                        return False
-                    due[1 - c] |= adj[x] & ~mine & ~theirs
-                elif seen & (seen - 1):
-                    due[c] |= 1 << x
-        return True
 
     for u, v in g.edges:
         stack = [([0, 0], [1 << u, 1 << v])]
@@ -525,7 +501,7 @@ def solve_backstop(g: Graph | GraphFacts, branch_budget: int = BRANCH_BUDGET) ->
             nodes += 1
             if nodes > branch_budget:
                 raise BranchBudgetError(f"more than {branch_budget} backstop nodes")
-            if not close(col, due):
+            if not close_colouring(adj, col, due, tied):
                 continue
             done = col[0] | col[1]
             if done == full:
@@ -584,8 +560,6 @@ def solve(g: Graph | GraphFacts, branch_budget: int = BRANCH_BUDGET) -> SolveOut
     A stage past `branch_budget` (the lift's options, the backstop's
     nodes) counts as not deciding."""
     facts = _facts(g)
-    if facts.graph.n == 0:
-        raise NotConnectedError("graph is empty")
     facts.connected_graph()
     for position, stage in enumerate(STAGES.values(), 1):
         try:

@@ -298,6 +298,35 @@ def test_closed_stdout_is_one_error_line(fig1_path, command):
     assert "Exception ignored" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "PATH", "--strategy", "nope"], ["solve", "PATH", "--branch-budget", "abc"], ["solve"]],
+    ids=["unknown-strategy", "non-integer-budget", "missing-path"],
+)
+def test_usage_errors_are_one_line_and_exit_one(capsys, fig1_path, argv):
+    argv = [fig1_path if arg == "PATH" else arg for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_branch_budget_below_one_is_an_error(capsys, fig1_path, budget):
+    code, out, err = run_cli(capsys, "solve", fig1_path, "--branch-budget", budget)
+    assert code == 1 and out == ""
+    assert err == "error: --branch-budget must be at least 1\n"
+
+
+def test_help_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: matchcut")
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

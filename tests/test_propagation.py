@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from matchcut import (
     FourTuple,
+    Graph,
     check_fixpoint,
     complete_bipartite,
     complete_graph,
@@ -158,6 +159,35 @@ def test_outcome_is_scan_order_independent(n, rnd, shuffle_seed):
     expected = propagate(g, pair)
     shuffled = _propagate_random_order(g, pair, random.Random(shuffle_seed))
     assert shuffled == expected
+
+
+def _random_pair(g, rng):
+    """A starting pair from random disjoint vertex sets, as the lift seeds
+    them; draws again until make_pair accepts one."""
+    while True:
+        order = rng.sample(range(g.n), g.n)
+        k = rng.randint(2, g.n)
+        cut = rng.randint(1, k - 1)
+        try:
+            return make_pair(g, order[:cut], order[cut:k])
+        except ValueError:
+            pass
+
+
+@given(st.integers(3, 9), st.randoms(use_true_random=False), st.integers(0, 10_000))
+@settings(max_examples=80, deadline=None)
+def test_multi_vertex_seeds_are_scan_order_independent(n, rnd, seed):
+    g = random_connected_graph(n, rnd)
+    rng = random.Random(seed)
+    pair = _random_pair(g, rng)
+    assert propagate(g, pair) == _propagate_random_order(g, pair, rng)
+
+
+def test_an_unrefused_seed_may_extend_to_no_colouring():
+    """Refusals are sound but not complete: the finisher decides the rest."""
+    g = Graph(6, [(0, 3), (0, 4), (0, 5), (1, 2), (1, 5), (2, 3), (2, 4), (3, 4)])
+    assert propagate(g, make_pair(g, {1}, {5})) is not None
+    assert not [blue for blue in valid_blue_masks(g) if not blue >> 1 & 1 and blue >> 5 & 1]
 
 
 @given(st.integers(3, 7), st.randoms(use_true_random=False))

@@ -412,6 +412,11 @@ class TestRunStrategy:
         assert run_strategy(cycle_graph(6), "backstop").answer == "yes"
         assert run_strategy(complete_graph(4), "backstop").answer == "no"
 
+    @pytest.mark.parametrize("name", [*matchcut.strategies.STAGES, "auto"])
+    def test_empty_graph_is_refused_like_solve(self, name):
+        with pytest.raises(NotConnectedError, match="^graph is empty$"):
+            solve(Graph(0)) if name == "auto" else run_strategy(Graph(0), name)
+
     def test_forced_radius2_on_wide_graph(self, fig1):
         g, _ = fig1
         assert run_strategy(g, "radius2").answer == "inapplicable"
