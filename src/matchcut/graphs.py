@@ -217,26 +217,50 @@ def is_dominating(g: Graph, d) -> bool:
 
 
 def girth(g: Graph) -> int | None:
-    """Length of a shortest cycle, or None for acyclic graphs."""
-    best = None
+    """Length of a shortest cycle, or None for acyclic graphs.
+
+    Searches the 2-core only: vertices left with fewer than two live
+    neighbours are peeled away. A BFS runs from each live vertex in id
+    order over live vertices, and then its source is deleted and the core
+    peeled again. A shortest cycle stays live until its least vertex is
+    the source, and the BFS from a vertex on a shortest cycle finds its
+    length. Every candidate closes a walk through one non-tree edge, so
+    it is never below the girth. A BFS stops at the first depth d with
+    2d + 1 >= best: a non-tree edge from depth d closes at least 2d + 1,
+    and the 2d ones (back to depth d - 1) were already seen from there.
+    """
+    live = [True] * g.n
+    deg = [len(nbrs) for nbrs in g.adj]
+    doomed = [v for v in range(g.n) if deg[v] < 2]
+    best = g.n + 1
     for src in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[src] = 0
+        while doomed:
+            v = doomed.pop()
+            live[v] = False
+            for w in g.adj[v]:
+                if live[w]:
+                    deg[w] -= 1
+                    if deg[w] == 1:
+                        doomed.append(w)
+        if not live[src]:
+            continue
+        dist = {src: 0}
+        parent = {src: -1}
         queue = deque([src])
-        while queue:
+        while queue and 2 * dist[queue[0]] + 1 < best:
             u = queue.popleft()
             for w in g.adj[u]:
-                if dist[w] < 0:
+                if not live[w]:
+                    continue
+                if w not in dist:
                     dist[w] = dist[u] + 1
                     parent[w] = u
                     queue.append(w)
                 elif w != parent[u]:
                     # Non-tree edge: closes a cycle through the BFS tree.
-                    cand = dist[u] + dist[w] + 1
-                    if best is None or cand < best:
-                        best = cand
-    return best
+                    best = min(best, dist[u] + dist[w] + 1)
+        doomed.append(src)
+    return best if best <= g.n else None
 
 
 def induced_copies(host: Graph, pattern: Graph):

@@ -1,5 +1,6 @@
-"""Shared test utilities: small-graph corpora, an independent cut check
-and brute-force enumeration of valid colourings and their interfaces.
+"""Shared test utilities: small-graph corpora, an independent cut check,
+an all-sources reference girth and brute-force enumeration of valid
+colourings and their interfaces.
 
 The removal-based oracle here deliberately avoids the colouring machinery
 under test: it enumerates matchings edge by edge and checks disconnection
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
 from matchcut import Colouring, FourTuple, Graph, OracleBoundError, is_connected
 from matchcut.graphs import mask_of
@@ -38,6 +40,32 @@ def random_connected_graph(n: int, rng: random.Random, p: float | None = None) -
         g = Graph(n, edges)
         if is_connected(g):
             return g
+
+
+def girth_all_sources(g: Graph) -> int | None:
+    """Reference girth: an unpruned BFS from every vertex, O(n * m).
+
+    The minimum over all sources of dist[u] + dist[w] + 1 across non-tree
+    edges uw is exactly the girth; `matchcut.girth` must agree with it.
+    """
+    best = None
+    for src in range(g.n):
+        dist = [-1] * g.n
+        parent = [-1] * g.n
+        dist[src] = 0
+        queue = deque([src])
+        while queue:
+            u = queue.popleft()
+            for w in g.adj[u]:
+                if dist[w] < 0:
+                    dist[w] = dist[u] + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif w != parent[u]:
+                    cand = dist[u] + dist[w] + 1
+                    if best is None or cand < best:
+                        best = cand
+    return best
 
 
 def _disconnected_without(g: Graph, removed: frozenset) -> bool:

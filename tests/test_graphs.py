@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,7 @@ from matchcut import (
     star_graph,
 )
 from matchcut.graphs import induced_copies
-from .helpers import random_connected_graph
+from .helpers import girth_all_sources, random_connected_graph
 
 
 class TestGraphConstruction:
@@ -121,6 +122,45 @@ class TestDistanceProfile:
         assert prof.radius == 2 and 0 in prof.center
 
 
+def _grid(rows: int, cols: int) -> Graph:
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph(rows * cols, edges)
+
+
+PETERSEN = Graph(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+)
+
+
+def _girth_test_graph(family: str, n: int, rng: random.Random) -> Graph:
+    """One random graph on n <= 40 vertices from the named family."""
+    if family == "gnp":  # often disconnected, a forest when sparse
+        p = rng.choice([0.02, 0.05, 0.1, 0.3, 0.7])
+        return Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+    if family == "forest":
+        return Graph(n, [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.9])
+    if family == "union":
+        k = rng.randint(0, n)
+        left = _girth_test_graph(rng.choice(["forest", "pendant-cycle", "chorded-cycle"]), k, rng)
+        right = _girth_test_graph(rng.choice(["gnp", "pendant-cycle", "chorded-cycle"]), n - k, rng)
+        return disjoint_union(left, right)
+    if n < 3:
+        return Graph(n)
+    k = rng.randint(3, n)
+    order = rng.sample(range(n), n)  # relabel so the cycle's least vertex varies
+    edges = [(order[i], order[(i + 1) % k]) for i in range(k)]
+    if family == "pendant-cycle":  # trees hung on one cycle
+        edges += [(order[rng.randrange(i)], order[i]) for i in range(k, n)]
+    else:  # a long cycle with a few chords, the rest a path hanging off it
+        edges += [(order[i - 1], order[i]) for i in range(k, n)]
+        edges += [tuple(rng.sample(order[:k], 2)) for _ in range(rng.randint(0, 3))]
+    return Graph(n, edges)
+
+
 class TestGirth:
     @pytest.mark.parametrize("s", [3, 4, 5, 8])
     def test_cycles(self, s):
@@ -131,6 +171,46 @@ class TestGirth:
 
     def test_complete_bipartite(self):
         assert girth(complete_bipartite(2, 3)) == 4
+
+    @pytest.mark.parametrize(
+        "g, expected",
+        [
+            (PETERSEN, 5),
+            (complete_graph(4), 3),
+            (complete_bipartite(3, 3), 4),
+            (disjoint_union(cycle_graph(7), cycle_graph(5)), 5),
+            (Graph(6), None),
+            (Graph(0), None),
+        ],
+        ids=["petersen", "K4", "K3,3", "C7+C5", "edgeless", "empty"],
+    )
+    def test_named_graphs(self, g, expected):
+        assert girth(g) == expected == girth_all_sources(g)
+
+    @given(
+        st.sampled_from(["gnp", "forest", "pendant-cycle", "chorded-cycle", "union"]),
+        st.integers(1, 40),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_all_sources_reference(self, family, n, rng):
+        g = _girth_test_graph(family, n, rng)
+        assert girth(g) == girth_all_sources(g)
+
+    @pytest.mark.parametrize(
+        "g, expected", [(cycle_graph(2000), 2000), (_grid(30, 30), 4)], ids=["C2000", "grid30x30"]
+    )
+    def test_work_is_linear_on_cycles_and_grids(self, g, expected, monkeypatch):
+        pops = []
+
+        class CountingDeque(deque):
+            def popleft(self):
+                pops.append(None)
+                return super().popleft()
+
+        monkeypatch.setattr(matchcut.graphs, "deque", CountingDeque)
+        assert girth(g) == expected
+        assert len(pops) <= 3 * g.n
 
 
 class TestInducedSubgraph:
