@@ -44,7 +44,8 @@ class BranchBudgetError(RuntimeError):
 
 
 class StructureSearchError(RuntimeError):
-    """A structure guaranteed to exist on this input class was not found."""
+    """The P6-free search met a single vertex, the one connected P6-free
+    graph with no dominating C6 or biclique."""
 
 
 # Caps both the lift's branch options and the backstop's search nodes.
@@ -219,8 +220,6 @@ def solve_with_dominating_set(g: Graph, d) -> SolveOutcome:
         seed = {v: bool(pattern >> i & 1) for i, v in enumerate(d_list)}
         for assign in _extend_dominating(g, d_list, 0, seed):
             options += 1
-            if len(assign) != g.n:
-                continue  # isolated-from-d vertices cannot occur (d dominates)
             colouring = Colouring(g.n, frozenset(v for v, b in assign.items() if b))
             if is_valid_colouring(g, colouring):
                 return _yes(g, colouring, "bounded-domination", {"options": options})
@@ -275,36 +274,37 @@ class DominatingStructure:
     part_b: frozenset[int] = frozenset()
 
 
-def _grow_biclique(g: Graph, u: int, v: int) -> tuple[set[int], set[int]]:
-    a = {u}
-    b = {v}
-    changed = True
-    while changed:
-        changed = False
-        for w in range(g.n):
-            if w in a or w in b:
-                continue
-            if all(g.has_edge(w, x) for x in b):
-                a.add(w)
-                changed = True
-            elif all(g.has_edge(w, x) for x in a):
-                b.add(w)
-                changed = True
-    return a, b
+def _spread(links, seed: int, within: int) -> int:
+    """The vertices of mask `within` reached from mask `seed` along `links[v]`."""
+    reached = frontier = seed
+    while frontier:
+        step = 0
+        for v in bits(frontier):
+            step |= links[v]
+        frontier = step & within & ~reached
+        reached |= frontier
+    return reached
 
 
-_EXHAUSTIVE_CAP = 10
+def _common(adj, mask: int, full: int) -> int:
+    """The vertices adjacent to every vertex of `mask`."""
+    for v in bits(mask):
+        full &= adj[v]
+    return full
 
 
 def find_dominating_structure_p6free(g: Graph | GraphFacts) -> DominatingStructure:
     """Dominating induced C6 or dominating complete bipartite subgraph.
 
-    Search order: the dominating induced 6-cycle with the least vertex
-    set, listed from its least vertex towards the smaller of that vertex's
-    cycle neighbours; then greedy biclique growth from every ordered edge,
-    then per-vertex stars, then an exhaustive sweep over part pairs up to
-    `_EXHAUSTIVE_CAP` total vertices. On P6-free connected input one of
-    these must exist; exhausting the search anyway raises
+    The dominating induced 6-cycle with the least vertex set, listed from
+    its least vertex towards the smaller of that vertex's cycle neighbours.
+    Else a biclique: drop vertices in id order from d = V while d keeps two
+    vertices and stays connected and dominating, which leaves d a minimal
+    connected dominating set. A is the co-component of min(d) in g[d], B
+    the common neighbourhood of A, then A that of B; A | B contains d, so
+    it dominates. If B is empty, g[d] has an induced P4, whose ends then
+    have eccentricity at most 2, so the star of the least center is
+    returned (proof in the README). A single vertex raises
     StructureSearchError.
     """
     facts = _facts(g)
@@ -322,31 +322,22 @@ def find_dominating_structure_p6free(g: Graph | GraphFacts) -> DominatingStructu
                 cycle = c
     if cycle is not None:
         return DominatingStructure("cycle6", cycle=cycle)
-    for u, v in g.edges:
-        for s, t in ((u, v), (v, u)):
-            a, b = _grow_biclique(g, s, t)
-            if is_dominating(g, a | b):
-                return DominatingStructure("biclique", part_a=frozenset(a), part_b=frozenset(b))
-    for u in range(g.n):
-        if g.degree(u) >= 1 and is_dominating(g, {u, *g.adj[u]}):
-            return DominatingStructure(
-                "biclique", part_a=frozenset([u]), part_b=frozenset(g.adj[u])
-            )
-    cap = min(g.n, _EXHAUSTIVE_CAP)
-    for total in range(2, cap + 1):
-        for support in itertools.combinations(range(g.n), total):
-            if not is_dominating(g, support):
-                continue
-            for a_size in range(1, total):
-                for part_a in itertools.combinations(support, a_size):
-                    part_b = tuple(w for w in support if w not in part_a)
-                    if all(g.has_edge(x, y) for x in part_a for y in part_b):
-                        return DominatingStructure(
-                            "biclique", part_a=frozenset(part_a), part_b=frozenset(part_b)
-                        )
-    raise StructureSearchError(
-        "no dominating structure found; the P6-free guarantee is violated"
-    )
+    adj, full = g.adj_bits, (1 << g.n) - 1
+    d = full
+    for v in range(g.n):
+        rest = d & ~(1 << v)
+        connected = rest.bit_count() >= 2 and _spread(adj, rest & -rest, rest) == rest
+        if connected and all(adj[w] & rest for w in bits(full ^ rest)):
+            d = rest
+    a = _spread([full ^ x for x in adj], d & -d, d)  # the co-component of min(d)
+    b = _common(adj, a, full)
+    if b:
+        a = _common(adj, b, full)
+        return DominatingStructure("biclique", part_a=frozenset(bits(a)), part_b=frozenset(bits(b)))
+    if g.n < 2:
+        raise StructureSearchError("a single vertex has no dominating C6 or biclique")
+    u = min(facts.profile.center)  # g[d] is no join, as on the Petersen graph
+    return DominatingStructure("biclique", part_a=frozenset([u]), part_b=frozenset(g.adj[u]))
 
 
 def solve_p6_free(g: Graph | GraphFacts) -> SolveOutcome:

@@ -6,8 +6,10 @@ import sys
 import pytest
 
 import matchcut
-from matchcut import is_matching_cut, load_edge_file
+from matchcut import format_edge_text, is_matching_cut, load_edge_file
 from matchcut.cli import main
+from .test_graphs import PETERSEN
+from .test_strategies import k66_with_pendants, k66_with_triangles
 
 
 def run_cli(capsys, *argv):
@@ -49,6 +51,13 @@ class TestSolve:
         code, out, _ = run_cli(capsys, "solve", k4, "--quiet")
         assert code == 0
         assert json.loads(out)["outcome"] == "no"
+
+    def test_k66_with_triangles_is_no_from_p6free(self, capsys, tmp_path):
+        path = write_graph(tmp_path, "triangles.edges", format_edge_text(k66_with_triangles()))
+        code, out, _ = run_cli(capsys, "solve", path, "--quiet")
+        assert code == 0
+        report = json.loads(out)
+        assert (report["outcome"], report["strategy"], report["trace"]["structure"]) == ("no", "p6free", 12)
 
     def test_byte_identical_reruns(self, capsys, fig1_path):
         _, first, _ = run_cli(capsys, "solve", fig1_path, "--quiet")
@@ -100,6 +109,24 @@ class TestAnalyze:
         a = json.loads(out)["analysis"]
         assert a["p6_free"] is True
         assert a["dominating_structure"]["kind"] == "cycle6"
+
+    def test_k66_with_pendants_reports_a_6_6_biclique(self, capsys, tmp_path):
+        path = write_graph(tmp_path, "pendants.edges", format_edge_text(k66_with_pendants()))
+        code, out, _ = run_cli(capsys, "analyze", path, "--quiet")
+        assert code == 0
+        structure = json.loads(out)["analysis"]["dominating_structure"]
+        assert structure["kind"] == "biclique"
+        assert (len(structure["part_a"]), len(structure["part_b"])) == (6, 6)
+
+    def test_petersen_reports_a_star(self, capsys, tmp_path):
+        path = write_graph(tmp_path, "petersen.edges", format_edge_text(PETERSEN))
+        code, out, _ = run_cli(capsys, "analyze", path, "--quiet")
+        assert code == 0
+        structure = json.loads(out)["analysis"]["dominating_structure"]
+        assert structure == {"kind": "biclique", "part_a": [0], "part_b": [1, 4, 5]}
+        code, out, _ = run_cli(capsys, "solve", path, "--strategy", "p6free", "--quiet")
+        assert code == 0
+        assert json.loads(out)["outcome"] == "yes"
 
     def test_one_distance_profile_per_analyze(self, capsys, monkeypatch, fig1_path):
         calls = []

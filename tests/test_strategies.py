@@ -1,4 +1,5 @@
 import itertools
+import random
 import subprocess
 import sys
 
@@ -40,8 +41,10 @@ from matchcut import (
     star_graph,
 )
 from matchcut.graphs import induced_copies
+from matchcut.strategies import GraphFacts
 from .helpers import all_connected_graphs, has_cut_by_matching_removal, random_connected_graph
 from .test_golden import ROOT, seeded_graph
+from .test_graphs import PETERSEN
 
 
 def wheel5() -> Graph:
@@ -58,6 +61,58 @@ def dodecahedron() -> Graph:
            (15, 16), (16, 17), (17, 18), (18, 19), (19, 15)]
     )
     return Graph(20, edges)
+
+
+def _k66_with(hung, n: int, relabel: list[int]) -> Graph:
+    """K6,6 on A = 0-5 and B = 6-11, the `hung` edges added, every edge
+    (x, y) relabelled (relabel[x], relabel[y])."""
+    k66 = [(a, b) for a in range(6) for b in range(6, 12)]
+    return Graph(n, [(relabel[x], relabel[y]) for x, y in k66 + hung])
+
+
+def k66_with_triangles() -> Graph:
+    """Each K6,6 vertex v in a triangle with new vertices 12+2v and 13+2v:
+    minimum degree 2, radius 3, no cut of at most two edges."""
+    hung = [e for v in range(12) for e in ((v, 12 + 2 * v), (v, 13 + 2 * v), (12 + 2 * v, 13 + 2 * v))]
+    relabel = [26, 21, 34, 22, 13, 24, 31, 4, 25, 20, 14, 18, 3, 19, 32, 8, 15, 2,
+               12, 27, 33, 5, 11, 6, 9, 1, 7, 29, 35, 10, 30, 23, 16, 0, 28, 17]
+    return _k66_with(hung, 36, relabel)
+
+
+def k66_with_pendants() -> Graph:
+    """Each K6,6 vertex v with a pendant vertex 12+v."""
+    relabel = [20, 13, 12, 21, 15, 17, 22, 19, 16, 7, 14, 18, 0, 2, 6, 3, 9, 1, 23, 10, 8, 5, 11, 4]
+    return _k66_with([(v, 12 + v) for v in range(12)], 24, relabel)
+
+
+def grown_petersen(rng: random.Random, extra: int) -> Graph:
+    """The Petersen graph with `extra` vertices added one at a time, each
+    joined to the first of up to 20 random vertex subsets that forms no
+    induced P6, then randomly relabelled."""
+    n, edges = 10, list(PETERSEN.edges)
+    for _ in range(extra):
+        for _ in range(20):
+            hood = [(v, n) for v in range(n) if rng.random() < 0.4]
+            if hood and not contains_induced(Graph(n + 1, edges + hood), path_graph(6)):
+                edges += hood
+                n += 1
+                break
+    relabel = rng.sample(range(n), n)
+    return Graph(n, [(relabel[u], relabel[v]) for u, v in edges])
+
+
+def assert_dominating_structure(g: Graph, s) -> None:
+    """A dominating induced C6 in cycle order, or two disjoint non-empty
+    completely joined parts whose union dominates."""
+    if s.kind == "cycle6":
+        c = s.cycle
+        assert len(set(c)) == 6 and is_dominating(g, c)
+        assert all(g.has_edge(c[i], c[j]) == ((i - j) % 6 in (1, 5))
+                   for i in range(6) for j in range(i + 1, 6))
+    else:
+        assert s.kind == "biclique" and s.part_a and s.part_b
+        assert not s.part_a & s.part_b and is_dominating(g, s.part_a | s.part_b)
+        assert all(g.has_edge(x, y) for x in s.part_a for y in s.part_b)
 
 
 def lift_graph() -> Graph:
@@ -228,6 +283,39 @@ class TestDominatingStructure:
         assert len(calls) < 10
         assert structure.cycle == (0, 4, 8, 12, 16, 20)
 
+    def test_biclique_of_k66_with_pendants(self):
+        structure = find_dominating_structure_p6free(k66_with_pendants())
+        assert structure.kind == "biclique"
+        assert (len(structure.part_a), len(structure.part_b)) == (6, 6)
+
+    def test_every_p6_free_graph_up_to_six_vertices(self):
+        graphs = 0
+        for n in range(2, 7):
+            for g in all_connected_graphs(n):
+                facts = GraphFacts(g)
+                if facts.witness(path_graph(6)) is not None:
+                    continue
+                graphs += 1
+                assert_dominating_structure(g, find_dominating_structure_p6free(facts))
+        assert graphs == 27_115
+
+    def test_petersen_takes_a_centres_star(self):
+        # the minimal connected dominating set is the inner 5-cycle, no join
+        # and with no common neighbour; radius 2 gives the star of vertex 0
+        structure = find_dominating_structure_p6free(PETERSEN)
+        assert (structure.part_a, structure.part_b) == (frozenset([0]), frozenset([1, 4, 5]))
+        assert_dominating_structure(PETERSEN, structure)
+
+    def test_grown_petersen_graphs(self):
+        rng = random.Random(7)
+        stars = 0
+        for _ in range(100):
+            g = grown_petersen(rng, rng.randint(1, 3))
+            facts = GraphFacts(g)
+            assert_dominating_structure(g, find_dominating_structure_p6free(facts))
+            stars += "profile" in vars(facts)  # only the star fallback reads the radius
+        assert stars >= 3
+
 
 class TestP6Free:
     def test_c6_yes(self):
@@ -242,6 +330,12 @@ class TestP6Free:
 
     def test_p6_is_inapplicable(self):
         assert solve_p6_free(path_graph(6)).answer == "inapplicable"
+
+    def test_k66_with_triangles_is_decided_by_p6free(self):
+        g = k66_with_triangles()
+        out = solve(g)
+        assert (out.answer, out.strategy, out.trace["structure"]) == ("no", "p6free", 12)
+        assert run_strategy(g, "backstop").answer == "no"
 
     @given(st.integers(4, 8), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
