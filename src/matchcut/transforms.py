@@ -76,6 +76,11 @@ def girth_blowup(g: Graph, pattern: Graph) -> tuple[Graph, int]:
     are full of induced C4s, and an acyclic pattern cannot be excluded by
     stretching cycles. The result has a matching cut exactly when the
     input does. Returns the blown-up graph and the number of rounds.
+
+    The output is checked for the pattern before it is returned. Each
+    round joins old vertices only to new ones, so the output is
+    bipartite, and for a pattern with an odd cycle `contains_induced`
+    answers after one 2-colouring BFS instead of a backtracking search.
     """
     if girth(pattern) is None:
         raise TransformNotApplicable("pattern has no cycle; stretching cycles cannot exclude it")

@@ -254,10 +254,19 @@ class TestInducedSubgraph:
     def test_no_copies_of_p3_in_a_triangle(self):
         assert list(induced_copies(complete_graph(3), path_graph(3))) == []
 
-    @given(st.integers(4, 7), st.sampled_from(["P3", "P4", "C4", "K1,3", "2P2"]), st.randoms(use_true_random=False))
+    @given(
+        st.integers(4, 7),
+        st.sampled_from(["P3", "P4", "C4", "K1,3", "2P2", "K3", "C5", "P2+K3"]),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
     @settings(max_examples=40, deadline=None)
-    def test_copies_match_permutation_enumeration(self, n, name, rnd):
+    def test_copies_match_permutation_enumeration(self, n, name, bipartite, rnd):
         host = random_connected_graph(n, rnd)
+        if bipartite:
+            # odd and even vertex ids form the two sides; odd-cycle
+            # patterns then have no copy, and the search prunes them
+            host = Graph(n, [(u, v) for u, v in host.edges if (u ^ v) & 1])
         pattern = pattern_from_name(name)
         k = pattern.n
         naive = [
@@ -266,6 +275,21 @@ class TestInducedSubgraph:
                    for i, j in itertools.combinations(range(k), 2))
         ]
         assert list(induced_copies(host, pattern)) == naive
+
+    def test_odd_cycle_search_in_a_bipartite_host_is_one_bfs(self, monkeypatch):
+        pops = []
+
+        class CountingDeque(deque):
+            def popleft(self):
+                pops.append(None)
+                return super().popleft()
+
+        monkeypatch.setattr(matchcut.graphs, "deque", CountingDeque)
+        host, pattern = complete_bipartite(40, 40), cycle_graph(5)
+        assert find_induced(host, pattern) is None
+        # 2-colouring the pattern stops at its odd cycle, 2-colouring the
+        # host pops each of its vertices once, and no backtracking runs
+        assert host.n <= len(pops) <= host.n + pattern.n
 
 
 class TestDomination:

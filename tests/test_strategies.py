@@ -474,6 +474,28 @@ class TestDispatcher:
         assert out.strategy == "sp3p6(s=1)" and out.answer == "yes"
         assert len(calls) == 1
 
+    def test_differential_fuzz_against_both_oracles(self):
+        # seeded: sparse graphs with n up to 14, and mixed densities up to
+        # n = 9, where enumerating every matching stays cheap
+        rng = random.Random(2026)
+        for _ in range(400):
+            n = rng.randint(3, 14)
+            g = random_connected_graph(n, rng, rng.choice([2.5 / n, 4 / n] + [None] * (n <= 9)))
+            want = has_matching_cut_bruteforce(g) is not None
+            assert has_cut_by_matching_removal(g) == want, g.edges
+            outs = [solve(g)]
+            for name in matchcut.strategies.STAGES:
+                try:
+                    outs.append(run_strategy(g, name))
+                except BranchBudgetError:
+                    continue
+            for out in outs:
+                if out.answer == "inapplicable":
+                    continue
+                assert (out.answer == "yes") == want, (out.strategy, g.edges)
+                if out.answer == "yes":
+                    assert is_matching_cut(g, out.cut.edges)
+
     def test_yes_is_rechecked_under_python_O(self):
         code = (
             "import matchcut.strategies as s\n"
