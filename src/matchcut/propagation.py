@@ -79,21 +79,16 @@ def make_pair(g: Graph, s_prime, t_prime) -> StartingPair:
     return StartingPair(s_set, t_set, frozenset(s_core), frozenset(t_core))
 
 
-def close_colouring(
-    adj: tuple[int, ...], col: list[int], due: list[int], tied: list[int] | None = None
-) -> bool:
+def close_colouring(adj: tuple[int, ...], col: list[int], due: list[int]) -> bool:
     """Close a partial red/blue colouring in place under the forcing rules.
 
     `adj` is `Graph.adj_bits`; `col[c]` and `due[c]` are the masks of the
     vertices that have and that must take colour c (0 red, 1 blue). Rules:
     an uncoloured vertex with two neighbours of one colour takes that
     colour; a coloured vertex with one opposite-coloured neighbour gives
-    its colour to its other neighbours; the vertices of `tied[w]` share
-    w's colour. False on a conflict: a vertex due both colours, or a
-    vertex with two opposite-coloured neighbours.
+    its colour to its other neighbours. False on a conflict: a vertex due
+    both colours, or a vertex with two opposite-coloured neighbours.
     """
-    if tied is None:
-        tied = [0] * len(adj)
     while due[0] | due[1]:
         c = 0 if due[0] else 1
         bit = due[c] & -due[c]
@@ -104,7 +99,7 @@ def close_colouring(
             return False
         col[c] |= bit
         mine, theirs = col[c], col[1 - c]
-        due[c] |= (tied[w] | (adj[w] ^ opposite if opposite else 0)) & ~mine
+        due[c] |= (adj[w] ^ opposite if opposite else 0) & ~mine
         for x in bits(adj[w] & ~mine):
             seen = adj[x] & mine
             if theirs >> x & 1:  # w is an opposite neighbour of x

@@ -471,37 +471,38 @@ def solve_backstop(g: Graph | GraphFacts, branch_budget: int = BRANCH_BUDGET) ->
     propagation; past `branch_budget` search nodes it raises
     BranchBudgetError (Matching Cut is NP-complete at maximum degree 4).
 
-    For each edge uv in turn, a depth-first search seeks a valid colouring
-    with u red and v blue (swapping colours covers the reverse), closing
-    each partial colouring with `close_colouring`, where the ends of an
-    edge refuted earlier share a colour. It branches on the uncoloured
-    vertex with the most coloured neighbours (lowest id on ties), red
-    first. Once every edge is refuted, every valid colouring of the
-    connected graph has one colour: there is no matching cut.
+    One depth-first search over red/blue colourings, each closed with
+    `close_colouring`. Swapping colours keeps a colouring valid, so the
+    root colours vertex 0 red. The search branches on the uncoloured
+    vertex with the most coloured neighbours (lowest id on ties), blue
+    first. While only red is placed, closing applies just the
+    two-neighbour rule, so the all-red path grows a monochromatic set M:
+    red in every valid colouring the search has yet to visit. Its branch
+    vertex w is the least vertex with a neighbour in M; the blue branch
+    searches every colouring with M red and w blue, and the red branch
+    adds w to M. A full colouring that uses both colours is a matching
+    cut; the all-red leaf is not, so an empty stack means no valid
+    colouring uses both colours.
     """
     g = _facts(g).connected_graph()
     adj = g.adj_bits
     full = (1 << g.n) - 1
-    tied = [0] * g.n  # tied[v]: v's partners in refuted edges, as a mask
     nodes = 0
-
-    for u, v in g.edges:
-        stack = [([0, 0], [1 << u, 1 << v])]
-        while stack:
-            col, due = stack.pop()
-            nodes += 1
-            if nodes > branch_budget:
-                raise BranchBudgetError(f"more than {branch_budget} backstop nodes")
-            if not close_colouring(adj, col, due, tied):
-                continue
-            done = col[0] | col[1]
-            if done == full:
-                return _yes(g, Colouring(g.n, frozenset(bits(col[1]))), "backstop", {"nodes": nodes})
+    stack = [([0, 0], [1, 0])]  # vertex 0 red
+    while stack:
+        col, due = stack.pop()
+        nodes += 1
+        if nodes > branch_budget:
+            raise BranchBudgetError(f"more than {branch_budget} backstop nodes")
+        if not close_colouring(adj, col, due):
+            continue
+        done = col[0] | col[1]
+        if done != full:
             w = max(bits(full ^ done), key=lambda x: ((adj[x] & done).bit_count(), -x))
-            stack += [(col[:], [0, 1 << w]), (col[:], [1 << w, 0])]  # red first
-        tied[u] |= 1 << v
-        tied[v] |= 1 << u
-    return _no("backstop", "every edge is refuted as a cut edge", {"nodes": nodes})
+            stack += [(col[:], [1 << w, 0]), (col[:], [0, 1 << w])]  # blue first
+        elif col[1]:
+            return _yes(g, Colouring(g.n, frozenset(bits(col[1]))), "backstop", {"nodes": nodes})
+    return _no("backstop", "no valid colouring uses both colours", {"nodes": nodes})
 
 
 def _degree1(facts: GraphFacts, branch_budget: int) -> SolveOutcome:

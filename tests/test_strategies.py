@@ -416,6 +416,22 @@ class TestBackstop:
         g = cycle_graph(1500)
         _check_yes(g, solve_backstop(g))
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            complete_graph(4),
+            complete_bipartite(5, 5),
+            Graph(160, [(i, (i + d) % 160) for i in range(160) for d in (1, 2)]),  # C160(1,2)
+        ],
+        ids=["K4", "K5,5", "C160(1,2)"],
+    )
+    def test_refutes_dense_graphs_in_one_search(self, g):
+        # the all-red path spreads vertex 0's colour by the two-neighbour
+        # rule, so a dense "no" takes a few nodes
+        out = solve_backstop(g)
+        assert out.answer == "no"
+        assert out.trace["nodes"] <= 5
+
 
 class TestDispatcher:
     def test_exhaustive_small_graphs(self):
