@@ -384,7 +384,7 @@ def pattern_from_name(name: str) -> Graph:
     cleaned = name.replace(" ", "")
     if not cleaned:
         raise ValueError("empty pattern name")
-    parts: list[Graph] = []
+    n, edges = 0, []
     for term in cleaned.split("+"):
         i = 0
         while i < len(term) and term[i].isdigit():
@@ -408,8 +408,7 @@ def pattern_from_name(name: str) -> Graph:
                 raise ValueError
         except ValueError:
             raise ValueError(f"unknown pattern term {term!r}") from None
-        parts.extend([piece] * count)
-    out = parts[0]
-    for piece in parts[1:]:
-        out = disjoint_union(out, piece)
-    return out
+        for _ in range(count):  # one Graph for the union, not one per term
+            edges += [(u + n, v + n) for u, v in piece.edges]
+            n += piece.n
+    return Graph(n, edges)

@@ -24,6 +24,7 @@ from .graphs import (
     induced_copies,
     is_connected,
     is_dominating,
+    mask_of,
     path_graph,
     pattern_from_name,
 )
@@ -170,38 +171,41 @@ def solve_monochromatic_dominating(g: Graph, d) -> SolveOutcome:
     )
 
 
-def _extend_dominating(g: Graph, d_list: list[int], idx: int, assign: dict[int, bool]):
-    """Recursive option enumeration over the vertices of `d_list`, for
-    solve_with_dominating_set and around the lift's pattern copy.
+def _extend_dominating(adj, d_list: list[int], idx: int, col: list[int]):
+    """Recursive option enumeration over the vertices of `d_list`, on the
+    [red, blue] mask pair `col` and `adj` = `Graph.adj_bits`.
 
     For the next listed vertex: if it already sees an opposite colour,
-    all its unassigned neighbours take its own colour; otherwise branch on
-    recolouring nothing or exactly one unassigned neighbour. Yields every
-    completed assignment.
+    all its uncoloured neighbours take its own colour; otherwise branch on
+    recolouring nothing or exactly one uncoloured neighbour. Yields every
+    completed mask pair.
     """
     if idx == len(d_list):
-        yield assign
+        yield col
         return
     v = d_list[idx]
-    mine = assign[v]
-    opposite = 0
-    unassigned = []
-    for w in g.adj[v]:
-        got = assign.get(w)
-        if got is None:
-            unassigned.append(w)
-        elif got != mine:
-            opposite += 1
-    if opposite >= 2:
+    c = col[1] >> v & 1
+    opposite = adj[v] & col[1 - c]
+    if opposite & (opposite - 1):
         return  # v is already spoiled; colours never change once set
-    branches: list[int | None] = [None]
-    if opposite == 0:
-        branches.extend(unassigned)
-    for flip in branches:
-        child = dict(assign)
-        for w in unassigned:
-            child[w] = (not mine) if w == flip else mine
-        yield from _extend_dominating(g, d_list, idx + 1, child)
+    free = adj[v] & ~(col[0] | col[1])
+    flips = [0]
+    if not opposite:
+        flips += (1 << w for w in bits(free))
+    for flip in flips:
+        child = col[:]
+        child[c] |= free ^ flip
+        child[1 - c] |= flip
+        yield from _extend_dominating(adj, d_list, idx + 1, child)
+
+
+def _regions(adj, d_list: list[int]):
+    """Every red/blue colouring of `d_list`, bit i of the pattern making
+    d_list[i] blue, each extended by _extend_dominating: [red, blue] pairs."""
+    d_mask = mask_of(d_list)
+    for pattern in range(1 << len(d_list)):
+        blue = mask_of(v for i, v in enumerate(d_list) if pattern >> i & 1)
+        yield from _extend_dominating(adj, d_list, 0, [d_mask ^ blue, blue])
 
 
 def solve_with_dominating_set(g: Graph, d) -> SolveOutcome:
@@ -216,13 +220,11 @@ def solve_with_dominating_set(g: Graph, d) -> SolveOutcome:
     if not is_dominating(g, d_list):
         raise ValueError("the given set does not dominate the graph")
     options = 0
-    for pattern in range(1 << len(d_list)):
-        seed = {v: bool(pattern >> i & 1) for i, v in enumerate(d_list)}
-        for assign in _extend_dominating(g, d_list, 0, seed):
-            options += 1
-            colouring = Colouring(g.n, frozenset(v for v, b in assign.items() if b))
-            if is_valid_colouring(g, colouring):
-                return _yes(g, colouring, "bounded-domination", {"options": options})
+    for _, blue in _regions(g.adj_bits, d_list):
+        options += 1
+        colouring = Colouring(g.n, frozenset(bits(blue)))
+        if is_valid_colouring(g, colouring):
+            return _yes(g, colouring, "bounded-domination", {"options": options})
     return _no("bounded-domination", "no valid colouring over the dominating set", {"options": options})
 
 
@@ -374,11 +376,13 @@ def solve_p6_free(g: Graph | GraphFacts) -> SolveOutcome:
     return replace(out, strategy="p6free")
 
 
-def _locally_valid(g: Graph, assign: dict[int, bool]) -> bool:
-    for v, mine in assign.items():
-        opposite = sum(1 for w in g.adj[v] if assign.get(w) == (not mine))
-        if opposite > 1:
-            return False
+def _locally_valid(adj, col: list[int]) -> bool:
+    """No vertex of the [red, blue] mask pair has two opposite neighbours."""
+    for c in (0, 1):
+        for v in bits(col[c]):
+            opposite = adj[v] & col[1 - c]
+            if opposite & (opposite - 1):
+                return False
     return True
 
 
@@ -395,11 +399,19 @@ def lift_h_plus_p3(
     Cuts of size <= 2 are searched outright, so past that point the graph
     has minimum degree >= 2 and no small cut; together with
     (h + P3)-freeness this makes every residual component of a propagation
-    fixpoint around an induced copy of h monochromatic. Branch on one
-    bichromatic edge, all colourings of the copy, and at most one
-    opposite-coloured neighbour per copy vertex; each branch seeds a
-    generalized starting pair and ends in the 2-SAT finisher. `subsolver`
-    is called with the GraphFacts of `g`.
+    fixpoint around an induced copy D of h monochromatic. The branches
+    are the regions of `_regions`: each colouring of D with at most one
+    opposite-coloured neighbour per copy vertex, which colours N[D]. A
+    region with an edge across (a red vertex with a blue neighbour) is a
+    seed; a region with none is tried once for each edge uv, u red and v
+    blue, that agrees with it. Each locally valid seed is a generalized
+    starting pair and ends in the 2-SAT finisher.
+
+    Exact: a valid colouring c restricted to N[D] is a region. If that
+    region has an edge across, it is a seed inside c. If not, c still has
+    a bichromatic edge uv, since g is connected; c or its colour swap has
+    u red and v blue, and the swap is also valid with a region for its
+    restriction. `subsolver` is called with the GraphFacts of `g`.
     """
     facts = _facts(g)
     g = facts.connected_graph()
@@ -413,39 +425,27 @@ def lift_h_plus_p3(
         out = subsolver(facts)
         out.trace["delegated"] = 1
         return replace(out, strategy=f"{strategy}>{out.strategy}")
-    copy = sorted(set(witness))
-    trace = {"edges_tried": 0, "copy_colourings": 0, "options": 0, "seeds_propagated": 0}
-    for u, v in g.edges:
-        trace["edges_tried"] += 1
-        base = {u: False, v: True}  # u red, v blue; swaps are covered below
-        for pattern in range(1 << len(copy)):
-            assign = dict(base)
-            conflict = False
-            for i, w in enumerate(copy):
-                want = bool(pattern >> i & 1)
-                if assign.get(w, want) != want:
-                    conflict = True
-                    break
-                assign[w] = want
-            if conflict:
+    adj = g.adj_bits
+    trace = {"options": 0, "seeds_propagated": 0}
+    for red, blue in _regions(adj, sorted(set(witness))):
+        trace["options"] += 1
+        if trace["options"] > branch_budget:
+            raise BranchBudgetError(f"more than {branch_budget} branch options")
+        if any(adj[v] & blue for v in bits(red)):
+            seeds = [[red, blue]]
+        else:  # guess the cut edge uv, u red and v blue; swaps are regions too
+            seeds = [[red | 1 << u, blue | 1 << v] for u, v in g.edges
+                     if not (blue >> u | red >> v) & 1]
+        for seed in seeds:
+            if not _locally_valid(adj, seed):
                 continue
-            trace["copy_colourings"] += 1
-            for region in _extend_dominating(g, copy, 0, assign):
-                trace["options"] += 1
-                if trace["options"] > branch_budget:
-                    raise BranchBudgetError(f"more than {branch_budget} branch options")
-                if not _locally_valid(g, region):
-                    continue
-                s_prime = {w for w, b in region.items() if not b}
-                t_prime = {w for w, b in region.items() if b}
-                pair = make_pair(g, s_prime, t_prime)
-                trace["seeds_propagated"] += 1
-                four = propagate(g, pair)
-                if four is None:
-                    continue
-                colouring = decide_monochromatic_extension(g, four)
-                if colouring is not None:
-                    return _yes(g, colouring, strategy, trace)
+            trace["seeds_propagated"] += 1
+            four = propagate(g, make_pair(g, bits(seed[0]), bits(seed[1])))
+            if four is None:
+                continue
+            colouring = decide_monochromatic_extension(g, four)
+            if colouring is not None:
+                return _yes(g, colouring, strategy, trace)
     return _no(strategy, "every seed around the pattern copy is refuted", trace)
 
 

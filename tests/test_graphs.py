@@ -313,6 +313,23 @@ class TestCatalog:
         with pytest.raises(ValueError):
             pattern_from_name("Q7")
 
+    def test_union_of_terms_is_built_once(self, monkeypatch):
+        want = path_graph(3)
+        for piece in [path_graph(3)] * 199 + [path_graph(6)]:
+            want = disjoint_union(want, piece)
+        built = []
+        init = Graph.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(None)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "__init__", counting_init)
+        g = pattern_from_name("200P3+P6")
+        # one Graph per distinct term, plus the union
+        assert len(built) <= 3
+        assert g == want and (g.n, g.m) == (606, 405)
+
     def test_disjoint_union_offsets_labels(self):
         g = disjoint_union(path_graph(3), path_graph(3))
         assert g.n == 6 and g.m == 4

@@ -386,6 +386,39 @@ class TestLift:
         out = solve_sp3_p6(g, 1)
         assert (out.answer == "yes") == (has_matching_cut_bruteforce(g) is not None)
 
+    def test_agrees_with_oracle_where_the_lift_branches(self):
+        # seeded cycles with chords, n = 10-13, kept when the lift walks
+        # its regions (the trace has "options") rather than finding a
+        # small cut, delegating or declining
+        answers = []
+        seed = 0
+        while len(answers) < 150:
+            rng = random.Random(seed)
+            seed += 1
+            n = rng.randint(10, 13)
+            edges = {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
+            for _ in range(rng.randint(n // 2, n - 2)):
+                edges.add(tuple(sorted(rng.sample(range(n), 2))))
+            g = Graph(n, edges)
+            out = solve_sp3_p6(g, 1)
+            if "options" not in out.trace:
+                continue
+            answers.append(out.answer)
+            assert (out.answer == "yes") == (has_matching_cut_bruteforce(g) is not None), g.edges
+            if out.answer == "yes":
+                _check_yes(g, out)
+        assert {"yes", "no"} <= set(answers)
+
+    def test_lift_walks_each_region_once(self):
+        # seeded graph 637 of the golden corpus: a "no" the lift decides
+        # after walking the regions around its P6 copy once
+        g = Graph(13, [(0, 2), (0, 5), (0, 7), (1, 5), (1, 11), (1, 12), (2, 4), (2, 8),
+                       (2, 10), (2, 11), (3, 6), (3, 7), (4, 6), (4, 7), (4, 9), (4, 10),
+                       (4, 11), (5, 8), (5, 12), (6, 12), (7, 9), (9, 11), (9, 12), (11, 12)])
+        out = solve_sp3_p6(g, 1)
+        assert out.answer == "no"
+        assert out.trace["options"] <= 48
+
 
 class TestBackstop:
     def test_exhaustive_small_graphs(self):
