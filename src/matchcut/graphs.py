@@ -155,15 +155,56 @@ class DistanceProfile:
 
 
 def distance_profile(g: Graph) -> DistanceProfile:
-    """All-pairs BFS metrics. Raises NotConnectedError on disconnected input."""
-    if g.n == 0:
+    """Radius, diameter and center from one lock-step ball growth.
+
+    ball[v] is the set of vertices within distance r of v after round r,
+    as a mask, and the eccentricity of v is the round in which its ball
+    fills. Round 1 gives every vertex its closed neighbourhood. In each
+    later round, every ball that is not yet full becomes the OR of its
+    neighbours' balls from the previous round (reading them in place
+    would over-grow it); a vertex with a neighbour lies in that
+    neighbour's ball, so its own ball adds nothing. A ball that stops
+    growing before it is full is a whole component. No ball fills in a
+    disconnected graph, so watching one ball for that stall is enough:
+    the ball of a vertex of least degree, which catches an isolated
+    vertex in round 2.
+
+    Cost: at most diameter * 2m ORs of n-bit masks, and two lists of n
+    masks. Graphs whose diameter is close to n are the slow case, since
+    the bit work then grows as n**3 against n**2 BFS steps: on one core
+    with Python 3.11, `cycle_graph(5000)` takes about as long as a BFS
+    from every vertex (4-6 s) and `cycle_graph(8000)` longer (23 s
+    against 13 s). Raises NotConnectedError on empty or disconnected
+    input.
+    """
+    n = g.n
+    if n == 0:
         raise NotConnectedError("graph is empty")
-    ecc = []
-    for v in range(g.n):
-        dist = bfs_distances(g, v)
-        if min(dist) < 0:
+    adj = g.adj
+    full = (1 << n) - 1
+    watched = min(range(n), key=g.degree)
+    first = [nbrs[0] if nbrs else v for v, nbrs in enumerate(adj)]
+    rest = [nbrs[1:] for nbrs in adj]
+    ball = [1 << v | g.adj_bits[v] for v in range(n)]
+    ecc = [1] * n if n > 1 else [0]  # K1's one ball is full at radius 0
+    live = [v for v in range(n) if ball[v] != full]
+    r = 1
+    while live:
+        r += 1
+        prev = ball[:]
+        grown = []
+        for v in live:
+            b = prev[first[v]]
+            for w in rest[v]:
+                b |= prev[w]
+            ball[v] = b
+            if b == full:
+                ecc[v] = r
+            else:
+                grown.append(v)
+        if ball[watched] == prev[watched] != full:
             raise NotConnectedError("graph not connected")
-        ecc.append(max(dist))
+        live = grown
     radius = min(ecc)
     return DistanceProfile(
         radius=radius,

@@ -1,6 +1,6 @@
 """Shared test utilities: small-graph corpora, an independent cut check,
-an all-sources reference girth and brute-force enumeration of valid
-colourings and their interfaces.
+all-sources reference girth and distance profile, and brute-force
+enumeration of valid colourings and their interfaces.
 
 The removal-based oracle here deliberately avoids the colouring machinery
 under test: it enumerates matchings edge by edge and checks disconnection
@@ -13,8 +13,16 @@ import itertools
 import random
 from collections import deque
 
-from matchcut import Colouring, FourTuple, Graph, OracleBoundError, is_connected
-from matchcut.graphs import mask_of
+from matchcut import (
+    Colouring,
+    FourTuple,
+    Graph,
+    NotConnectedError,
+    OracleBoundError,
+    bfs_distances,
+    is_connected,
+)
+from matchcut.graphs import DistanceProfile, mask_of
 from matchcut.oracle import DEFAULT_BOUND
 
 
@@ -66,6 +74,29 @@ def girth_all_sources(g: Graph) -> int | None:
                     if best is None or cand < best:
                         best = cand
     return best
+
+
+def distance_profile_all_sources(g: Graph) -> DistanceProfile:
+    """Reference profile: a BFS from every vertex, O(n * m).
+
+    The eccentricity of v is the largest BFS distance from v; an
+    unreachable vertex means the graph is not connected.
+    `matchcut.distance_profile` must agree with it, errors included.
+    """
+    if g.n == 0:
+        raise NotConnectedError("graph is empty")
+    ecc = []
+    for v in range(g.n):
+        dist = bfs_distances(g, v)
+        if min(dist) < 0:
+            raise NotConnectedError("graph not connected")
+        ecc.append(max(dist))
+    radius = min(ecc)
+    return DistanceProfile(
+        radius=radius,
+        diameter=max(ecc),
+        center=frozenset(v for v in range(g.n) if ecc[v] == radius),
+    )
 
 
 def _disconnected_without(g: Graph, removed: frozenset) -> bool:

@@ -10,6 +10,7 @@ import matchcut.graphs
 from matchcut import (
     Graph,
     GraphFormatError,
+    NotConnectedError,
     bfs_distances,
     complete_bipartite,
     complete_graph,
@@ -29,7 +30,7 @@ from matchcut import (
     star_graph,
 )
 from matchcut.graphs import induced_copies
-from .helpers import girth_all_sources, random_connected_graph
+from .helpers import distance_profile_all_sources, girth_all_sources, random_connected_graph
 
 
 class TestGraphConstruction:
@@ -105,6 +106,15 @@ class TestTraversal:
 
 
 class TestDistanceProfile:
+    @pytest.fixture(autouse=True)
+    def no_per_source_bfs(self, monkeypatch):
+        """The profile must come from the ball growth, not a BFS per source."""
+
+        def refuse(g, source):
+            raise AssertionError("distance_profile ran a per-source BFS")
+
+        monkeypatch.setattr(matchcut.graphs, "bfs_distances", refuse)
+
     def test_star_has_radius_one(self):
         prof = distance_profile(star_graph(5))
         assert (prof.radius, prof.diameter) == (1, 2)
@@ -120,6 +130,72 @@ class TestDistanceProfile:
         edges = [(0, i) for i in range(1, 5)] + [(i, i + 4) for i in range(1, 5)]
         prof = distance_profile(Graph(9, edges))
         assert prof.radius == 2 and 0 in prof.center
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 10, 101, 150])
+    def test_cycles_are_self_centred(self, n):
+        prof = distance_profile(cycle_graph(n))
+        assert (prof.radius, prof.diameter) == (n // 2, n // 2)
+        assert prof.center == frozenset(range(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 9, 120])
+    def test_paths(self, n):
+        # P1 is K1: radius and diameter 0
+        prof = distance_profile(path_graph(n))
+        assert (prof.radius, prof.diameter) == (n // 2, n - 1)
+        assert prof.center == frozenset({(n - 1) // 2, n // 2})
+
+    @pytest.mark.parametrize("rows,cols", [(1, 5), (2, 2), (4, 7), (30, 31)])
+    def test_grids(self, rows, cols):
+        def reach(i, size):
+            return max(i, size - 1 - i)
+
+        mid_r = min(reach(i, rows) for i in range(rows))
+        mid_c = min(reach(j, cols) for j in range(cols))
+        prof = distance_profile(_grid(rows, cols))
+        assert (prof.radius, prof.diameter) == (mid_r + mid_c, rows + cols - 2)
+        assert prof.center == frozenset(
+            i * cols + j
+            for i in range(rows)
+            for j in range(cols)
+            if reach(i, rows) == mid_r and reach(j, cols) == mid_c
+        )
+
+    @pytest.mark.parametrize("a,b", [(1, 1), (1, 4), (2, 2), (3, 5)])
+    def test_complete_bipartite(self, a, b):
+        prof = distance_profile(complete_bipartite(a, b))
+        if max(a, b) == 1:
+            assert (prof.radius, prof.diameter, prof.center) == (1, 1, frozenset({0, 1}))
+        elif a == 1:
+            assert (prof.radius, prof.diameter, prof.center) == (1, 2, frozenset({0}))
+        else:
+            assert (prof.radius, prof.diameter, prof.center) == (2, 2, frozenset(range(a + b)))
+
+    @pytest.mark.parametrize(
+        "g,message",
+        [
+            (Graph(0), "graph is empty"),
+            (Graph(2), "graph not connected"),
+            (disjoint_union(cycle_graph(40), path_graph(1)), "graph not connected"),
+            (disjoint_union(path_graph(30), path_graph(30)), "graph not connected"),
+        ],
+    )
+    def test_rejects_empty_and_disconnected(self, g, message):
+        with pytest.raises(NotConnectedError, match=f"^{message}$"):
+            distance_profile(g)
+
+
+@given(st.integers(0, 16), st.floats(0.0, 1.0), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_distance_profile_matches_all_sources_bfs(n, p, rnd):
+    g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rnd.random() < p])
+    try:
+        want = distance_profile_all_sources(g)
+    except NotConnectedError as exc:
+        with pytest.raises(NotConnectedError) as got:
+            distance_profile(g)
+        assert str(got.value) == str(exc)
+    else:
+        assert distance_profile(g) == want
 
 
 def _grid(rows: int, cols: int) -> Graph:
