@@ -2,9 +2,10 @@
 
 Vertices are dense integers 0..n-1. Adjacency is kept twice: as sorted
 tuples for iteration and as bitmasks for the enumeration-heavy callers
-(the oracle, the propagation engine with the backstop that runs it, and
-`induced_copies`). Everything here is pure; Graph values are immutable
-and hashable.
+(the oracle, the propagation engine with the backstop that runs it,
+`induced_copies`, `distance_profile`'s ball growth and the edge-pair
+sweep of `strategies.small_matching_cut`). Everything here is pure;
+Graph values are immutable and hashable.
 """
 
 from __future__ import annotations

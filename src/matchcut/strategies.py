@@ -132,18 +132,79 @@ def pendant_cut(g: Graph) -> Colouring | None:
     return None
 
 
+def _first_bridge(g: Graph) -> tuple[int, int] | None:
+    """The least bridge of g in `g.edges` order, or None.
+
+    One iterative low-link DFS from vertex 0 (Tarjan 1974): tree edge pv
+    is a bridge when no back edge from v's subtree reaches p or above.
+    NotConnectedError if the DFS misses a vertex.
+    """
+    order = [0] * g.n  # discovery number, from 1; 0 while unvisited
+    low = [0] * g.n
+    parent = [-1] * g.n
+    order[0] = low[0] = count = 1
+    stack = [(0, iter(g.adj[0]))]
+    best = None
+    while stack:
+        v, nbrs = stack[-1]
+        for w in nbrs:
+            if not order[w]:
+                count += 1
+                order[w] = low[w] = count
+                parent[w] = v
+                stack.append((w, iter(g.adj[w])))
+                break
+            if w != parent[v] and order[w] < low[v]:
+                low[v] = order[w]
+        else:
+            stack.pop()
+            p = parent[v]
+            if p >= 0:
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if low[v] > order[p]:
+                    e = (p, v) if p < v else (v, p)
+                    if best is None or e < best:
+                        best = e
+    if count < g.n:
+        raise NotConnectedError("graph not connected")
+    return best
+
+
 def small_matching_cut(g: Graph, k: int = 2) -> MatchingCut | None:
-    """First matching cut with at most `k` (<= 2) edges, or None."""
+    """First matching cut with at most `k` (<= 2) edges, or None.
+
+    The least bridge in `g.edges` order if there is one, else (k = 2) the
+    first disjoint pair of `itertools.combinations(g.edges, 2)` whose
+    removal disconnects g. Bridges come from one iterative low-link DFS,
+    O(n + m), which also checks connectivity. Each disjoint pair then
+    costs one bitmask sweep from vertex 0 over `g.adj_bits` with the
+    pair's four bits cleared: the pair is a cut exactly when the sweep
+    misses a vertex. So the cost is O(n + m) plus one sweep per disjoint
+    pair scanned, O(m^2) sweeps when g has no small cut. None for n <= 1;
+    NotConnectedError("graph not connected") when g is not connected.
+    """
     if not 1 <= k <= 2:
         raise ValueError("only cut sizes 1 and 2 are supported")
-    for e in g.edges:
-        if len(connected_components(g, removed_edges=[e])) > 1:
-            return MatchingCut.from_edges([e])
+    if g.n <= 1:
+        return None
+    bridge = _first_bridge(g)
+    if bridge is not None:
+        return MatchingCut.from_edges([bridge])
     if k == 2:
+        base, full = g.adj_bits, (1 << g.n) - 1
+        adj = list(base)
         for e, f in itertools.combinations(g.edges, 2):
             if e[0] in f or e[1] in f:
                 continue
-            if len(connected_components(g, removed_edges=[e, f])) > 1:
+            (a, b), (c, d) = e, f
+            adj[a] ^= 1 << b
+            adj[b] ^= 1 << a
+            adj[c] ^= 1 << d
+            adj[d] ^= 1 << c
+            reached = _spread(adj, 1, full)
+            adj[a], adj[b], adj[c], adj[d] = base[a], base[b], base[c], base[d]
+            if reached != full:
                 return MatchingCut.from_edges([e, f])
     return None
 

@@ -1,6 +1,7 @@
 """Shared test utilities: small-graph corpora, an independent cut check,
-all-sources reference girth and distance profile, and brute-force
-enumeration of valid colourings and their interfaces.
+all-sources reference girth and distance profile, a per-edge reference
+small-cut scan, and brute-force enumeration of valid colourings and their
+interfaces.
 
 The removal-based oracle here deliberately avoids the colouring machinery
 under test: it enumerates matchings edge by edge and checks disconnection
@@ -17,9 +18,11 @@ from matchcut import (
     Colouring,
     FourTuple,
     Graph,
+    MatchingCut,
     NotConnectedError,
     OracleBoundError,
     bfs_distances,
+    connected_components,
     is_connected,
 )
 from matchcut.graphs import DistanceProfile, mask_of
@@ -97,6 +100,26 @@ def distance_profile_all_sources(g: Graph) -> DistanceProfile:
         diameter=max(ecc),
         center=frozenset(v for v in range(g.n) if ecc[v] == radius),
     )
+
+
+def small_matching_cut_pairwise(g: Graph, k: int = 2) -> MatchingCut | None:
+    """Reference small-cut scan: a component search per edge, then per
+    disjoint edge pair in `itertools.combinations(g.edges, 2)` order.
+
+    The first disconnecting edge, else (k = 2) the first disconnecting
+    pair. `matchcut.small_matching_cut` must agree with it on connected
+    graphs.
+    """
+    for e in g.edges:
+        if len(connected_components(g, removed_edges=[e])) > 1:
+            return MatchingCut.from_edges([e])
+    if k == 2:
+        for e, f in itertools.combinations(g.edges, 2):
+            if e[0] in f or e[1] in f:
+                continue
+            if len(connected_components(g, removed_edges=[e, f])) > 1:
+                return MatchingCut.from_edges([e, f])
+    return None
 
 
 def _disconnected_without(g: Graph, removed: frozenset) -> bool:

@@ -18,6 +18,7 @@ from matchcut import (
     contains_induced,
     cut_from_colouring,
     cycle_graph,
+    disjoint_union,
     distance_profile,
     find_dominating_structure_p6free,
     has_matching_cut_bruteforce,
@@ -42,7 +43,12 @@ from matchcut import (
 )
 from matchcut.graphs import induced_copies
 from matchcut.strategies import GraphFacts
-from .helpers import all_connected_graphs, has_cut_by_matching_removal, random_connected_graph
+from .helpers import (
+    all_connected_graphs,
+    has_cut_by_matching_removal,
+    random_connected_graph,
+    small_matching_cut_pairwise,
+)
 from .test_golden import ROOT, seeded_graph
 from .test_graphs import PETERSEN
 
@@ -159,6 +165,73 @@ class TestCheapCertificates:
     def test_small_cut_rejects_bad_k(self):
         with pytest.raises(ValueError):
             small_matching_cut(cycle_graph(4), k=3)
+
+    def test_small_cut_takes_the_least_bridge_in_edge_order(self):
+        # the DFS from 0 finishes (3, 4) before (2, 3)
+        g = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+        assert small_matching_cut(g, 1).edges == ((2, 3),)
+        assert small_matching_cut(g).edges == ((2, 3),)
+
+    def test_small_cut_needs_no_component_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("connected_components called")
+
+        monkeypatch.setattr(matchcut.strategies, "connected_components", refuse)
+        assert small_matching_cut(cycle_graph(20000)).edges == ((0, 1), (2, 3))
+        assert small_matching_cut(path_graph(20000), 1).edges == ((0, 1),)
+
+    @pytest.mark.parametrize(
+        "g",
+        [Graph(2), Graph(4, [(0, 1), (2, 3)]), disjoint_union(cycle_graph(5), path_graph(1))],
+    )
+    def test_small_cut_rejects_disconnected(self, g):
+        for k in (1, 2):
+            with pytest.raises(NotConnectedError, match="^graph not connected$"):
+                small_matching_cut(g, k)
+
+    def test_small_cut_none_below_two_vertices(self):
+        assert small_matching_cut(Graph(0)) is None
+        assert small_matching_cut(Graph(1), 1) is None
+
+
+@st.composite
+def small_cut_graphs(draw):
+    """Connected graphs with n <= 14, relabelled at random: G(n, p) edges
+    over a spanning tree, a Hamiltonian cycle, or a tree of cycles and
+    cliques joined by bridges, where one-vertex blocks make pendant trees
+    and chains of bridges. p = 0 keeps the skeleton as it is."""
+    rnd = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(1, 14))
+    p = draw(st.sampled_from([0.0, 0.05, 0.1, 0.25, 0.5, 0.9]))
+    edges = {e for e in itertools.combinations(range(n), 2) if rnd.random() < p}
+    family = draw(st.sampled_from(["tree", "cycle", "blocks"]))
+    if family == "tree":
+        edges |= {(rnd.randrange(v), v) for v in range(1, n)}
+    elif family == "cycle":
+        edges |= {(v - 1, v) for v in range(1, n)} | ({(0, n - 1)} if n > 2 else set())
+    else:
+        start = 0
+        while start < n:
+            block = range(start, start + rnd.randint(1, min(5, n - start)))
+            if len(block) >= 3 and rnd.random() < 0.5:
+                edges |= {(u, u + 1) for u in block[:-1]} | {(block[0], block[-1])}
+            else:
+                edges |= set(itertools.combinations(block, 2))
+            if start:
+                edges.add((rnd.randrange(start), rnd.choice(block)))
+            start = block[-1] + 1
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@given(small_cut_graphs())
+@settings(max_examples=300, deadline=None)
+def test_small_cut_matches_the_pairwise_scan(g):
+    for k in (1, 2):
+        got = small_matching_cut(g, k)
+        want = small_matching_cut_pairwise(g, k)
+        assert (got and got.edges) == (want and want.edges)
 
 
 class TestDominationSolvers:
