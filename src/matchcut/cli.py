@@ -6,11 +6,19 @@ human summary to stderr. With `--timing` the report also gives the wall
 time of reading the graph plus the command. Exit codes: 0 = decided or
 completed, 2 = inapplicable, 1 = usage, format, or resource error, or
 stdout closed before the report was written.
+
+A process builds its argument parser once, on the first `main` call, so
+in-process callers such as the benchmark pay for argparse's set-up only
+once. A report's text is exactly `json.dumps(report, sort_keys=True,
+indent=2)`, written without Python's pure-Python encoder (see
+`_report_text`).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import os
 import sys
@@ -69,8 +77,57 @@ def _certificate(g: Graph, colouring: Colouring, labels) -> dict:
     }
 
 
+_encode = json.JSONEncoder().encode
+
+
+def _report_text(x, pad: str = "") -> str:
+    """The text of `json.dumps(x, sort_keys=True, indent=2)` for a report
+    value: a dict with string keys, a list, a tuple or a JSON scalar.
+    `pad` is the indent of the line that `x` starts on.
+
+    With `indent` set, `json.dumps` runs Python's pure-Python encoder,
+    which handles every integer of an edge list on its own. Here the C
+    encoder writes scalars and keys, and a list of ints or of non-empty
+    lists of ints (`edges`, `cut_edges`) is written from its `repr`, whose
+    ints read as in JSON. That text holds only digits, `-`, `, `, `[` and
+    `]`, so `str.replace` can insert the line breaks and indents. The
+    element types are checked exactly, so bools and int subclasses take
+    the general path.
+    """
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = pad + "  "
+        items = ",\n".join(f"{inner}{_encode(k)}: {_report_text(x[k], inner)}" for k in sorted(x))
+        return f"{{\n{items}\n{pad}}}"
+    if not isinstance(x, (list, tuple)):
+        return _encode(x)
+    if not x:
+        return "[]"
+    inner = pad + "  "
+    kinds = set(map(type, x)) if type(x) is list else None
+    if kinds == {int}:
+        return f"[\n{inner}" + repr(x)[1:-1].replace(", ", ",\n" + inner) + f"\n{pad}]"
+    if kinds == {list} and all(x) and set(map(type, itertools.chain.from_iterable(x))) == {int}:
+        deeper = inner + "  "
+        body = (
+            repr(x)[1:-1]
+            .replace("], [", "]\0[")
+            .replace(", ", ",\n" + deeper)
+            .replace("[", "[\n" + deeper)
+            .replace("]", f"\n{inner}]")
+            .replace("\0", ",\n" + inner)
+        )
+        return f"[\n{inner}{body}\n{pad}]"
+    items = ",\n".join(inner + _report_text(v, inner) for v in x)
+    return f"[\n{items}\n{pad}]"
+
+
 def _emit(report: dict, args) -> None:
-    print(json.dumps(report, sort_keys=True, indent=2), flush=True)
+    """Print the report to stdout, as the bytes of `json.dumps(report,
+    sort_keys=True, indent=2)` (see `_report_text`), and unless --quiet a
+    one-line summary to stderr."""
+    print(_report_text(report), flush=True)
     if not args.quiet:
         bits = [report["command"], str(report.get("outcome", "ok"))]
         if report.get("strategy"):
@@ -260,7 +317,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call and returned by
+    every later one. Parsing leaves it unchanged; callers must not add
+    to it, since every `main` call in the process shares it."""
     parser = _Parser(
         prog="matchcut",
         description="Decide whether a connected graph has a matching cut.",

@@ -1,7 +1,7 @@
-"""Shared test utilities: small-graph corpora, an independent cut check,
-all-sources reference girth and distance profile, a per-edge reference
-small-cut scan, and brute-force enumeration of valid colourings and their
-interfaces.
+"""Shared test utilities: small-graph corpora, random cographs, an
+independent cut check, all-sources reference girth and distance profile,
+a per-edge reference small-cut scan, and brute-force enumeration of
+valid colourings and their interfaces.
 
 The removal-based oracle here deliberately avoids the colouring machinery
 under test: it enumerates matchings edge by edge and checks disconnection
@@ -51,6 +51,26 @@ def random_connected_graph(n: int, rng: random.Random, p: float | None = None) -
         g = Graph(n, edges)
         if is_connected(g):
             return g
+
+
+def random_cograph(n: int, rng: random.Random) -> Graph:
+    """A random cograph on 0..n-1: the vertices, shuffled, are the leaves
+    of a random binary cotree whose nodes each join or disjointly unite
+    their two subtrees."""
+
+    def build(vertices: list[int]) -> list[tuple[int, int]]:
+        if len(vertices) == 1:
+            return []
+        cut = rng.randint(1, len(vertices) - 1)
+        left, right = vertices[:cut], vertices[cut:]
+        edges = build(left) + build(right)
+        if rng.random() < 0.5:
+            edges += [(u, v) for u in left for v in right]
+        return edges
+
+    order = list(range(n))
+    rng.shuffle(order)
+    return Graph(n, build(order))
 
 
 def girth_all_sources(g: Graph) -> int | None:

@@ -1,13 +1,16 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import matchcut
 from matchcut import format_edge_text, is_matching_cut, load_edge_file
-from matchcut.cli import main
+from matchcut.cli import _report_text, build_parser, main
 from .test_graphs import PETERSEN
 from .test_strategies import k66_with_pendants, k66_with_triangles
 
@@ -338,6 +341,60 @@ def test_usage_errors_are_one_line_and_exit_one(capsys, fig1_path, argv):
     assert exc.value.code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch, fig1_path):
+    argvs = [
+        ["solve", fig1_path, "--strategy", "backstop"],
+        ["solve", fig1_path],
+        ["solve", fig1_path, "--strategy", "nope"],
+        ["verify", fig1_path, "--cut", "3-7"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # a usage error
+            code = ("exit", exc.code)
+        return code, *capsys.readouterr()
+
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "__init__", lambda self, *a, **k: built.append(self) or init(self, *a, **k)
+    )
+    for i, argv in enumerate(argvs):
+        before = len(built)
+        assert run(argv) == fresh[i], argv
+        assert (len(built) > before) == (i == 0), argv  # only the first call builds
+
+
+_text = st.text(st.sampled_from('a"\\\n\t\x00\x1f\x7fé€😀') | st.characters())
+_scalars = (
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**100), 2**100)
+    | st.floats() | _text
+)
+_int_lists = st.lists(st.integers() | st.booleans(), max_size=5)
+_edge_lists = st.lists(st.lists(st.integers(), min_size=1, max_size=3), max_size=6)
+_reports = st.recursive(
+    _scalars | _int_lists | st.lists(_int_lists, max_size=4) | _edge_lists
+    | st.lists(st.tuples(st.integers(), st.integers())),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_text, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@given(_reports)
+@settings(max_examples=300, deadline=None)
+def test_report_text_is_json_dumps_with_sorted_keys_and_indent_2(report):
+    assert _report_text(report) == json.dumps(report, sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize("budget", ["0", "-1"])

@@ -29,8 +29,8 @@ from matchcut import (
     pattern_from_name,
     star_graph,
 )
-from matchcut.graphs import induced_copies
-from .helpers import distance_profile_all_sources, girth_all_sources, random_connected_graph
+from matchcut.graphs import _p4_free, induced_copies
+from .helpers import distance_profile_all_sources, girth_all_sources, random_cograph, random_connected_graph
 
 
 class TestGraphConstruction:
@@ -333,16 +333,19 @@ class TestInducedSubgraph:
     @given(
         st.integers(4, 7),
         st.sampled_from(["P3", "P4", "C4", "K1,3", "2P2", "K3", "C5", "P2+K3"]),
-        st.booleans(),
+        st.sampled_from(["connected", "bipartite", "cograph"]),
         st.randoms(use_true_random=False),
     )
-    @settings(max_examples=40, deadline=None)
-    def test_copies_match_permutation_enumeration(self, n, name, bipartite, rnd):
+    @settings(max_examples=60, deadline=None)
+    def test_copies_match_permutation_enumeration(self, n, name, host_kind, rnd):
         host = random_connected_graph(n, rnd)
-        if bipartite:
+        if host_kind == "bipartite":
             # odd and even vertex ids form the two sides; odd-cycle
             # patterns then have no copy, and the search prunes them
             host = Graph(n, [(u, v) for u, v in host.edges if (u ^ v) & 1])
+        elif host_kind == "cograph":
+            # P4 and C5 contain an induced P4, so the search prunes them
+            host = random_cograph(n, rnd)
         pattern = pattern_from_name(name)
         k = pattern.n
         naive = [
@@ -367,6 +370,44 @@ class TestInducedSubgraph:
         # host pops each of its vertices once, and no backtracking runs
         assert host.n <= len(pops) <= host.n + pattern.n
 
+    def test_p4_free_matches_a_subset_search_on_every_small_graph(self):
+        def has_p4(g):
+            # a 4-vertex graph is P4 exactly when its degrees are 1, 1, 2, 2
+            for sub in itertools.combinations(range(g.n), 4):
+                degrees = sorted(sum(g.has_edge(v, w) for w in sub) for v in sub)
+                if degrees == [1, 1, 2, 2]:
+                    return True
+            return False
+
+        for n in range(7):
+            pairs = list(itertools.combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):  # disconnected graphs too
+                g = Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+                assert _p4_free(g) == (not has_p4(g)), g.edges
+
+    @pytest.mark.parametrize("pattern", [path_graph(6), cycle_graph(6)], ids=["P6", "C6"])
+    def test_search_in_a_cograph_ends_at_the_p4_test(self, pattern):
+        reads = {"adj": 0, "adj_bits": 0}
+
+        def counting(table, name):
+            class CountingTuple(tuple):
+                def __getitem__(self, i):
+                    reads[name] += 1
+                    return super().__getitem__(i)
+
+            return CountingTuple(table)
+
+        host = random_cograph(40, random.Random(4))
+        if not is_connected(host):  # a cograph's complement is one too
+            host = Graph(40, [e for e in itertools.combinations(range(40), 2) if not host.has_edge(*e)])
+        assert is_connected(host) and contains_induced(host, path_graph(3))
+        host.adj, host.adj_bits = counting(host.adj, "adj"), counting(host.adj_bits, "adj_bits")
+        assert find_induced(host, pattern) is None
+        # the split reads each vertex's mask at most twice per part that
+        # holds it, so at most n(n + 1) times, and no backtracking reads a
+        # neighbour list
+        assert reads["adj"] == 0
+        assert 0 < reads["adj_bits"] <= host.n * (host.n + 1)
 
 class TestDomination:
     def test_is_dominating(self):
