@@ -3,10 +3,12 @@
 Vertices are dense integers 0..n-1. Adjacency is kept twice: as sorted
 tuples for iteration and as bitmasks for the enumeration-heavy callers
 (the oracle, the propagation engine with the backstop that runs it,
-`induced_copies` and its P4-free host test `_p4_free`,
-`distance_profile`'s ball growth and the edge-pair sweep of
-`strategies.small_matching_cut`). Everything here is pure; Graph values
-are immutable and hashable.
+`induced_copies` and its P4-free host test `_p4_free`, and
+`distance_profile`'s ball growth). `_component` is the one component
+search on masks: `_p4_free`, the edge-pair sweep of
+`strategies.small_matching_cut` and the P6-free structure search all
+call it. Everything here is pure; Graph values are immutable and
+hashable.
 """
 
 from __future__ import annotations
@@ -327,8 +329,19 @@ def _bipartite(g: Graph) -> bool:
 
 def _component(adj_bits, part: int, complement: bool) -> int:
     """The component of the least vertex of `part` in the subgraph that
-    `part` induces in g, or in g's complement, as a mask. The search
-    stops once it has reached all of `part`."""
+    `part` induces in g, or in g's complement, as a mask.
+
+    The search expands one vertex at a time and stops as soon as all of
+    `part` is reached. It serves `_p4_free`, the edge-pair sweep of
+    `strategies.small_matching_cut` and the connectivity and co-component
+    tests of `strategies.find_dominating_structure_p6free`. It stays
+    private, so a tracer that wraps public functions never wraps the
+    sweep's up to m^2 / 2 calls. `connected_components` and
+    `is_connected` stay on adjacency lists: a mask operation costs
+    O(n / 64) words, so on a sparse graph a mask search is O(n^2 / 64)
+    against O(n + m): on `cycle_graph(20000)` one search took 60-74 ms on
+    masks and 6 ms on lists (Python 3.11.7, a shared 2-core machine).
+    """
     start = part & -part
     rest, todo = part ^ start, start
     while todo and rest:

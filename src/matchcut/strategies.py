@@ -15,6 +15,7 @@ from .graphs import (
     DistanceProfile,
     Graph,
     NotConnectedError,
+    _component,
     bits,
     connected_components,
     cycle_graph,
@@ -179,10 +180,12 @@ def small_matching_cut(g: Graph, k: int = 2) -> MatchingCut | None:
     removal disconnects g. Bridges come from one iterative low-link DFS,
     O(n + m), which also checks connectivity. Each disjoint pair then
     costs one bitmask sweep from vertex 0 over `g.adj_bits` with the
-    pair's four bits cleared: the pair is a cut exactly when the sweep
-    misses a vertex. So the cost is O(n + m) plus one sweep per disjoint
-    pair scanned, O(m^2) sweeps when g has no small cut. None for n <= 1;
-    NotConnectedError("graph not connected") when g is not connected.
+    pair's four bits cleared (`graphs._component`): the pair is a cut
+    exactly when the sweep misses a vertex. The sweep stops as soon as it
+    has reached every vertex. So the cost is O(n + m) plus one sweep per
+    disjoint pair scanned, O(m^2) sweeps when g has no small cut. None
+    for n <= 1; NotConnectedError("graph not connected") when g is not
+    connected.
     """
     if not 1 <= k <= 2:
         raise ValueError("only cut sizes 1 and 2 are supported")
@@ -202,7 +205,7 @@ def small_matching_cut(g: Graph, k: int = 2) -> MatchingCut | None:
             adj[b] ^= 1 << a
             adj[c] ^= 1 << d
             adj[d] ^= 1 << c
-            reached = _spread(adj, 1, full)
+            reached = _component(adj, full, False)
             adj[a], adj[b], adj[c], adj[d] = base[a], base[b], base[c], base[d]
             if reached != full:
                 return MatchingCut.from_edges([e, f])
@@ -337,18 +340,6 @@ class DominatingStructure:
     part_b: frozenset[int] = frozenset()
 
 
-def _spread(links, seed: int, within: int) -> int:
-    """The vertices of mask `within` reached from mask `seed` along `links[v]`."""
-    reached = frontier = seed
-    while frontier:
-        step = 0
-        for v in bits(frontier):
-            step |= links[v]
-        frontier = step & within & ~reached
-        reached |= frontier
-    return reached
-
-
 def _common(adj, mask: int, full: int) -> int:
     """The vertices adjacent to every vertex of `mask`."""
     for v in bits(mask):
@@ -389,10 +380,10 @@ def find_dominating_structure_p6free(g: Graph | GraphFacts) -> DominatingStructu
     d = full
     for v in range(g.n):
         rest = d & ~(1 << v)
-        connected = rest.bit_count() >= 2 and _spread(adj, rest & -rest, rest) == rest
+        connected = rest.bit_count() >= 2 and _component(adj, rest, False) == rest
         if connected and all(adj[w] & rest for w in bits(full ^ rest)):
             d = rest
-    a = _spread([full ^ x for x in adj], d & -d, d)  # the co-component of min(d)
+    a = _component(adj, d, True)  # the co-component of min(d)
     b = _common(adj, a, full)
     if b:
         a = _common(adj, b, full)
@@ -472,7 +463,9 @@ def lift_h_plus_p3(
     region has an edge across, it is a seed inside c. If not, c still has
     a bichromatic edge uv, since g is connected; c or its colour swap has
     u red and v blue, and the swap is also valid with a region for its
-    restriction. `subsolver` is called with the GraphFacts of `g`.
+    restriction. The guess is needed: the only matching cut of the
+    12-vertex graph in `TestLift.test_only_the_guessed_edge_finds_the_cut`
+    gives N[D] one colour. `subsolver` is called with the GraphFacts of `g`.
     """
     facts = _facts(g)
     g = facts.connected_graph()

@@ -100,10 +100,18 @@ _GNP_ATTEMPTS = 300
 _PATTERN_FREE_ATTEMPTS = 500
 
 
-def random_gnp(n: int, p: float, seed: int = 0) -> Graph:
-    """Connected uniform random graph by rejection; deterministic in seed."""
+def _check_sample(n: int, p: float) -> None:
+    """Refuse fewer than two vertices, or an edge probability outside
+    [0, 1]; NaN fails the range test too."""
     if n < 2:
         raise ValueError("n must be at least 2")
+    if not 0 <= p <= 1:
+        raise ValueError(f"p must lie in [0, 1], not {p}")
+
+
+def random_gnp(n: int, p: float, seed: int = 0) -> Graph:
+    """Connected uniform random graph by rejection; deterministic in seed."""
+    _check_sample(n, p)
     rng = random.Random(seed)
     for _ in range(_GNP_ATTEMPTS):
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
@@ -121,8 +129,7 @@ def random_radius2(n: int, extra_p: float = 0.15, seed: int = 0) -> Graph:
     non-hub vertices. Extra edges only shrink distances, so the radius
     bound survives them.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    _check_sample(n, extra_p)
     rng = random.Random(seed)
     near = sorted(rng.sample(range(1, n), max(1, (n - 1) // 3)))
     edges = {(0, w) for w in near}
@@ -137,8 +144,7 @@ def random_radius2(n: int, extra_p: float = 0.15, seed: int = 0) -> Graph:
 
 def random_pattern_free(n: int, p: float, pattern: Graph, seed: int = 0) -> Graph:
     """Connected random graph with no induced copy of `pattern`."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    _check_sample(n, p)
     rng = random.Random(seed)
     for _ in range(_PATTERN_FREE_ATTEMPTS):
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]

@@ -1,7 +1,8 @@
 """Shared test utilities: small-graph corpora, random cographs, an
 independent cut check, all-sources reference girth and distance profile,
-a per-edge reference small-cut scan, and brute-force enumeration of
-valid colourings and their interfaces.
+a reference component search within a vertex set, a per-edge reference
+small-cut scan, and brute-force enumeration of valid colourings and
+their interfaces.
 
 The removal-based oracle here deliberately avoids the colouring machinery
 under test: it enumerates matchings edge by edge and checks disconnection
@@ -120,6 +121,24 @@ def distance_profile_all_sources(g: Graph) -> DistanceProfile:
         diameter=max(ecc),
         center=frozenset(v for v in range(g.n) if ecc[v] == radius),
     )
+
+
+def component_within(g: Graph, part: int, complement: bool) -> int:
+    """Reference for `graphs._component`: a plain BFS from the least
+    vertex of the mask `part` that steps only to vertices of `part`, along
+    g's adjacency lists, or along its non-edges with `complement`. The
+    reached vertices, as a mask.
+    """
+    members = [v for v in range(g.n) if part >> v & 1]
+    seen = {members[0]}
+    queue = deque([members[0]])
+    while queue:
+        u = queue.popleft()
+        for w in members:
+            if w not in seen and w != u and (w in g.adj[u]) != complement:
+                seen.add(w)
+                queue.append(w)
+    return mask_of(seen)
 
 
 def small_matching_cut_pairwise(g: Graph, k: int = 2) -> MatchingCut | None:

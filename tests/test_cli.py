@@ -246,6 +246,16 @@ class TestGenerate:
         assert (code, out, err) == (1, "", "error: n must be at least 2\n")
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("p", ["1.5", "-0.5", "nan"])
+    @pytest.mark.parametrize(
+        "family", [["gnp"], ["radius2"], ["pattern-free", "--avoid", "P3"]], ids=lambda f: f[0]
+    )
+    def test_edge_probability_outside_0_1_is_refused(self, capsys, tmp_path, family, p):
+        out_file = tmp_path / "gen.edges"
+        code, out, err = run_cli(capsys, "generate", *family, "--n", "4", "--p", p, "--out", str(out_file))
+        assert (code, out, err) == (1, "", f"error: p must lie in [0, 1], not {float(p)}\n")
+        assert not out_file.exists()
+
     @pytest.mark.parametrize("command", [["generate", "C5"], ["transform", "blowup", "{c3}", "--pattern", "C5"]])
     def test_unwritable_out_is_an_error(self, capsys, tmp_path, command):
         c3 = write_graph(tmp_path, "c3.edges", "0 1\n1 2\n2 0\n")

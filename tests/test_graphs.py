@@ -29,8 +29,14 @@ from matchcut import (
     pattern_from_name,
     star_graph,
 )
-from matchcut.graphs import _p4_free, induced_copies
-from .helpers import distance_profile_all_sources, girth_all_sources, random_cograph, random_connected_graph
+from matchcut.graphs import _component, _p4_free, induced_copies
+from .helpers import (
+    component_within,
+    distance_profile_all_sources,
+    girth_all_sources,
+    random_cograph,
+    random_connected_graph,
+)
 
 
 class TestGraphConstruction:
@@ -103,6 +109,15 @@ class TestTraversal:
     def test_is_connected(self):
         assert is_connected(cycle_graph(4))
         assert not is_connected(Graph(2))
+
+    @pytest.mark.parametrize("complement", [False, True], ids=["graph", "complement"])
+    @given(st.integers(1, 16), st.floats(0, 1), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_mask_component_matches_a_bfs_within_the_part(self, complement, n, p, rnd):
+        # G(n, p), connected or not, and a random non-empty part
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rnd.random() < p])
+        part = rnd.randrange(1, 1 << n)
+        assert _component(g.adj_bits, part, complement) == component_within(g, part, complement)
 
 
 class TestDistanceProfile:

@@ -21,6 +21,7 @@ from matchcut import (
     disjoint_union,
     distance_profile,
     find_dominating_structure_p6free,
+    find_induced,
     has_matching_cut_bruteforce,
     is_dominating,
     is_matching_cut,
@@ -48,6 +49,7 @@ from .helpers import (
     has_cut_by_matching_removal,
     random_connected_graph,
     small_matching_cut_pairwise,
+    valid_blue_masks,
 )
 from .test_golden import ROOT, seeded_graph
 from .test_graphs import PETERSEN
@@ -481,6 +483,24 @@ class TestLift:
             if out.answer == "yes":
                 _check_yes(g, out)
         assert {"yes", "no"} <= set(answers)
+
+    def test_only_the_guessed_edge_finds_the_cut(self):
+        # P6 0-5, then 6, 7 and 8 in N(P6), and a triangle 9, 10, 11 joined
+        # to them by a matching. The one matching cut, blue side {9, 10, 11},
+        # gives N[D] = {0..8} one colour for the first P6 copy D, so no
+        # region has an edge across and only the guessed edge 6-9 finds it.
+        g = Graph(12, [(0, 1), (0, 6), (0, 7), (0, 8), (1, 2), (1, 8), (2, 3), (3, 4),
+                       (3, 7), (3, 8), (4, 5), (4, 6), (4, 7), (5, 8), (6, 7), (6, 8),
+                       (6, 9), (7, 10), (8, 11), (9, 10), (9, 11), (10, 11)])
+        assert not contains_induced(g, pattern_from_name("P3+P6"))
+        assert small_matching_cut(g) is None
+        assert find_induced(g, path_graph(6)) == (0, 1, 2, 3, 4, 5)
+        triangle = 0b111 << 9
+        assert valid_blue_masks(g) == [(1 << 12) - 1 ^ triangle, triangle]
+        out = solve_sp3_p6(g, 1)
+        _check_yes(g, out)
+        assert out.trace == {"options": 1, "seeds_propagated": 1}
+        assert out.cut.edges == ((6, 9), (7, 10), (8, 11))
 
     def test_lift_walks_each_region_once(self):
         # seeded graph 637 of the golden corpus: a "no" the lift decides

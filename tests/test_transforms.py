@@ -156,6 +156,10 @@ class TestGenerators:
             assert is_connected(g)
             assert distance_profile(g).radius <= 2
 
+    def test_edge_probability_bounds_are_inclusive(self):
+        assert random_gnp(4, 1, seed=0) == complete_graph(4)
+        assert random_radius2(6, 0, seed=0).n == 6
+
     def test_pattern_free_family(self):
         p6 = pattern_from_name("P6")
         for seed in range(5):
