@@ -559,13 +559,6 @@ def solve_backstop(g: Graph | GraphFacts, branch_budget: int = BRANCH_BUDGET) ->
     return _no("backstop", "no valid colouring uses both colours", {"nodes": nodes})
 
 
-def _degree1(facts: GraphFacts, branch_budget: int) -> SolveOutcome:
-    colouring = pendant_cut(facts.graph)
-    if colouring is None:
-        return _inapplicable("degree1", "no degree-1 vertex")
-    return _yes(facts.graph, colouring, "degree1")
-
-
 def _smallcut(facts: GraphFacts, branch_budget: int) -> SolveOutcome:
     if facts.small_cut is None:
         return _inapplicable("smallcut", "no matching cut of size at most 2")
@@ -576,10 +569,8 @@ def _smallcut(facts: GraphFacts, branch_budget: int) -> SolveOutcome:
 # looked up when a stage runs, not bound here, so wrapping a module-level
 # solver (as the benchmark's tracer does) reaches the dispatcher too.
 STAGES = {
-    "degree1": _degree1,
     "smallcut": _smallcut,
     "radius2": lambda facts, budget: solve_radius_le2(facts),
-    "p6free": lambda facts, budget: solve_p6_free(facts),
     "sp3p6": lambda facts, budget: solve_sp3_p6(facts, 1, budget),
     "backstop": lambda facts, budget: solve_backstop(facts, budget),
 }
@@ -588,9 +579,9 @@ STAGES = {
 def run_strategy(g: Graph | GraphFacts, name: str, branch_budget: int = BRANCH_BUDGET) -> SolveOutcome:
     """Run one named stage on its own, without dispatcher fallbacks.
 
-    The certificate-only scans (degree1, smallcut) report inapplicable
-    rather than "no" when they find nothing, since absence of their
-    certificate does not settle the decision problem. The sp3p6 lift and
+    The certificate-only scan, smallcut, reports inapplicable rather
+    than "no" when it finds nothing, since absence of its certificate
+    does not settle the decision problem. The sp3p6 lift and
     the backstop raise BranchBudgetError past `branch_budget`.
     """
     facts = _facts(g)

@@ -60,7 +60,7 @@ class TestSolve:
         code, out, _ = run_cli(capsys, "solve", path, "--quiet")
         assert code == 0
         report = json.loads(out)
-        assert (report["outcome"], report["strategy"], report["trace"]["structure"]) == ("no", "p6free", 12)
+        assert (report["outcome"], report["strategy"], report["trace"]["structure"]) == ("no", "sp3p6(s=1)>p6free", 12)
 
     def test_byte_identical_reruns(self, capsys, fig1_path):
         _, first, _ = run_cli(capsys, "solve", fig1_path, "--quiet")
@@ -127,7 +127,7 @@ class TestAnalyze:
         assert code == 0
         structure = json.loads(out)["analysis"]["dominating_structure"]
         assert structure == {"kind": "biclique", "part_a": [0], "part_b": [1, 4, 5]}
-        code, out, _ = run_cli(capsys, "solve", path, "--strategy", "p6free", "--quiet")
+        code, out, _ = run_cli(capsys, "solve", path, "--strategy", "sp3p6", "--quiet")
         assert code == 0
         assert json.loads(out)["outcome"] == "yes"
 

@@ -42,19 +42,19 @@ ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).resolve().parent / "data" / "golden.json"
 FIG1 = "fixtures/fig1.edges"
 
-STAGES = ("degree1", "smallcut", "radius2", "p6free", "sp3p6", "backstop")
+STAGES = ("smallcut", "radius2", "sp3p6", "backstop")
 
 # Strategies `solve` must end in somewhere in the corpus.
-REQUIRED = ("degree1", "smallcut", "radius2", "p6free", "sp3p6(s=1)", "backstop", "dispatch")
+REQUIRED = ("smallcut", "radius2", "sp3p6(s=1)>p6free", "sp3p6(s=1)", "backstop", "dispatch")
 
 # (seed, `solve` keyword arguments); the comment names where solve ends.
 SEEDED = (
-    (2, {}),  # degree1
+    (2, {}),  # smallcut, a bridge
     (72, {}),  # smallcut
     (0, {}),  # radius2, no
     (8, {}),  # radius2, yes
-    (86315, {}),  # p6free, yes
-    (233874, {}),  # p6free, no
+    (86315, {}),  # sp3p6(s=1)>p6free, yes
+    (233874, {}),  # sp3p6(s=1)>p6free, no
     (637, {}),  # sp3p6(s=1), no
     (1070, {}),  # sp3p6(s=1), yes
     (963, {}),  # backstop, yes

@@ -2,6 +2,7 @@ import itertools
 import random
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +43,7 @@ from matchcut import (
     solve_with_dominating_set,
     star_graph,
 )
+from matchcut.cli import main
 from matchcut.graphs import induced_copies
 from matchcut.strategies import GraphFacts
 from .helpers import (
@@ -129,6 +131,18 @@ def lift_graph() -> Graph:
     edges = [(0, 4), (0, 7), (0, 10), (1, 2), (1, 6), (2, 7), (2, 8), (2, 10),
              (3, 6), (3, 7), (4, 5), (4, 6), (5, 8), (5, 9), (5, 10), (9, 10)]
     return Graph(11, edges)
+
+
+def substitute_cliques(g: Graph, sizes: list[int]) -> Graph:
+    """g with vertex v replaced by a clique of sizes[v] vertices, the
+    cliques of adjacent vertices completely joined."""
+    bags, n = [], 0
+    for size in sizes:
+        bags.append(range(n, n + size))
+        n += size
+    edges = [e for bag in bags for e in itertools.combinations(bag, 2)]
+    edges += [(x, y) for u, v in g.edges for x in bags[u] for y in bags[v]]
+    return Graph(n, edges)
 
 
 def _check_yes(g, out):
@@ -409,7 +423,7 @@ class TestP6Free:
     def test_k66_with_triangles_is_decided_by_p6free(self):
         g = k66_with_triangles()
         out = solve(g)
-        assert (out.answer, out.strategy, out.trace["structure"]) == ("no", "p6free", 12)
+        assert (out.answer, out.strategy, out.trace["structure"]) == ("no", "sp3p6(s=1)>p6free", 12)
         assert run_strategy(g, "backstop").answer == "no"
 
     @given(st.integers(4, 8), st.randoms(use_true_random=False))
@@ -648,7 +662,35 @@ class TestDispatcher:
             "    print('refused:', exc)\n"
         )
         proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60)
-        assert proc.stdout.startswith("refused: degree1"), proc.stderr
+        assert proc.stdout.startswith("refused: smallcut"), proc.stderr
+
+    def test_pendant_and_p6_free_graphs_end_in_smallcut_and_the_lift(self):
+        # seeded: a degree-1 vertex's edge is a bridge, so smallcut takes
+        # every such graph; a P6-free graph without a small cut reaches
+        # the lift, which hands it to solve_p6_free unchanged
+        rng = random.Random(20)
+        graphs = [g for n in range(2, 6) for g in all_connected_graphs(n)]
+        graphs += [random_connected_graph(rng.randint(3, 12), rng, rng.choice([0.15, 0.25, 0.4]))
+                   for _ in range(300)]
+        pendant = [g for g in graphs if any(g.degree(v) == 1 for v in range(g.n))]
+        assert len(pendant) > 300
+        for g in pendant:
+            out = solve(g)
+            assert (out.strategy, out.trace["stages"], len(out.cut.edges)) == ("smallcut", 1, 1), g.edges
+        # C6 with cliques put in for its vertices is P6-free: P6 has no
+        # module, so substituting P6-free graphs keeps a graph P6-free
+        p6_free = [seeded_graph(86315), seeded_graph(233874)]
+        p6_free += [substitute_cliques(cycle_graph(6), [rng.randint(1, 4) for _ in range(6)]) for _ in range(40)]
+        answers = set()
+        for g in p6_free:
+            if small_matching_cut(g) is not None:
+                assert solve(g).strategy == "smallcut"
+                continue
+            want = solve_p6_free(g)
+            want = replace(want, strategy="sp3p6(s=1)>p6free", trace={**want.trace, "delegated": 1, "stages": 3})
+            assert solve(g) == want, g.edges
+            answers.add(want.answer)
+        assert answers == {"yes", "no"}
 
 
 class TestRunStrategy:
@@ -656,16 +698,24 @@ class TestRunStrategy:
         with pytest.raises(ValueError):
             run_strategy(cycle_graph(4), "bogus")
 
+    def test_removed_stage_names_are_unknown(self, capsys, fig1_path):
+        for name in ("degree1", "p6free"):
+            with pytest.raises(ValueError, match=f"^unknown strategy '{name}'$"):
+                run_strategy(star_graph(3), name)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", fig1_path, "--strategy", "p6free"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_certificate_scans_report_inapplicable(self):
-        out = run_strategy(cycle_graph(4), "degree1")
+        out = run_strategy(complete_graph(4), "smallcut")
         assert out.answer == "inapplicable"
 
     def test_each_applicable_name(self, fig1):
         g, _ = fig1
-        assert run_strategy(star_graph(3), "degree1").answer == "yes"
         assert run_strategy(g, "smallcut").answer == "yes"
         assert run_strategy(star_graph(3), "radius2").answer == "yes"
-        assert run_strategy(cycle_graph(6), "p6free").answer == "yes"
         assert run_strategy(cycle_graph(7), "sp3p6").answer == "yes"
         assert run_strategy(cycle_graph(6), "backstop").answer == "yes"
         assert run_strategy(complete_graph(4), "backstop").answer == "no"
